@@ -64,6 +64,7 @@ from .convolution import (
     approximate,
     approximation_sequence,
     approximation_residual,
+    residual_curve,
 )
 
 __version__ = "0.1.0"

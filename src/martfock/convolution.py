@@ -73,15 +73,31 @@ def approximation_residual(
     the functional's growth order by more than 1/2 for the untruncated
     residual series to converge.
     """
+    return _residuals(phi, [n], q, domain)[0]
+
+
+def residual_curve(
+    phi: FockCoefficients,
+    level: int,
+    q: float,
+    domain: TruncatedDomain,
+) -> list[float]:
+    """approximation_residual at every n = 0..level, from one pass."""
+    return _residuals(phi, range(level + 1), q, domain)
+
+
+def _residuals(phi, levels, q, domain) -> list[float]:
+    """Residuals at the given levels from one vector of terms
+    weight^(-2q) |F|^2: the subsets outside {0,..,n} are exactly the masks
+    from 2^(n+1) on, so each level sums a suffix of that vector (an empty
+    one once n >= max_index)."""
     if q <= 0.5:
         raise InsufficientOrderError(
             f"residual order q={q} too small; needs q > growth order + 1/2"
         )
-    masks = domain.masks()
-    outside = masks >= (1 << (n + 1))
-    if not outside.any():
-        return 0.0
+    domain._check_guard()
+    if all(n >= domain.max_index for n in levels):
+        return [0.0 for _ in levels]
     values = phi.values_on(domain)
-    w = weight_vector(domain)
-    total = np.sum((w[outside] ** (-2.0 * q)) * np.abs(values[outside]) ** 2)
-    return float(np.sqrt(total))
+    terms = weight_vector(domain) ** (-2.0 * q) * np.abs(values) ** 2
+    return [float(np.sqrt(np.sum(terms[1 << (n + 1):]))) for n in levels]

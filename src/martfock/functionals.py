@@ -106,9 +106,13 @@ class FockCoefficients:
             for sigma in domain:
                 values[sigma.mask] = self.evaluate(sigma)
         else:
-            for sigma, value in self._table.items():
-                if sigma.mask < domain.size:
-                    values[sigma.mask] = value
+            n = len(self._table)
+            masks = np.fromiter((s.mask for s in self._table), np.uint64, n)
+            table = np.fromiter(self._table.values(), np.complex128, n)
+            inside = masks < domain.size
+            if not inside.all():  # copy only when needed: copies raise peak RSS
+                masks, table = masks[inside], table[inside]
+            values[masks] = table
         return values
 
     def table_items(self) -> Iterable[tuple[FiniteSubset, complex]]:

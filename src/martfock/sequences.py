@@ -160,12 +160,12 @@ def _stabilization_indices(values: np.ndarray, tol: float) -> np.ndarray:
     """Per column: smallest index s with |values[n+1] - values[n]| <= tol for
     every n >= s."""
     diffs = np.abs(np.diff(values, axis=0)) > tol
-    k, _ = diffs.shape
-    out = np.zeros(values.shape[1], dtype=int)
-    for col in range(values.shape[1]):
-        moving = np.nonzero(diffs[:, col])[0]
-        out[col] = int(moving[-1]) + 1 if moving.size else 0
-    return out
+    k = diffs.shape[0]
+    if k == 0:
+        return np.zeros(values.shape[1], dtype=int)
+    # One past the last moving step: argmax finds the first True from the end.
+    last = k - np.argmax(diffs[::-1], axis=0)
+    return np.where(diffs.any(axis=0), last, 0)
 
 
 def strong_convergence_test(

@@ -158,11 +158,17 @@ def indicator(sigma: FiniteSubset, n: int) -> int:
 
 
 def weight_vector(domain: TruncatedDomain) -> np.ndarray:
-    """Weights of every subset in the domain, ascending bitmask order (float64)."""
-    masks = domain.masks()
+    """Weights of every subset in the domain, ascending bitmask order (float64).
+
+    Built by doubling: the masks in [2^k, 2^(k+1)) weigh (k+1) times the
+    masks below 2^k, so every weight is multiplied up from 1.0 in ascending k.
+    That order is the contract: it fixes the rounding of products beyond the
+    exact float64 range, bit for bit.
+    """
+    domain._check_guard()
     w = np.ones(domain.size)
     for k in range(domain.max_index + 1):
-        w[(masks >> k) & 1 == 1] *= k + 1
+        w[1 << k : 2 << k] = w[: 1 << k] * (k + 1)
     return w
 
 

@@ -133,6 +133,10 @@ class TestConverge:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 128
         assert rows[0]["sup_abs"] == "1"
+        # Empty set, singletons and multi-element subsets, in mask order,
+        # each written exactly as json.dumps writes the subset's array.
+        assert [r["sigma"] for r in rows] == [
+            json.dumps(FiniteSubset(m).to_json()) for m in range(128)]
 
     def test_diverging_sequence(self, tmp_path, capsys):
         terms = [FockCoefficients({FiniteSubset(0): float(n)}, support_bound=2)

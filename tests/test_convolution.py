@@ -11,6 +11,7 @@ from martfock.convolution import (
     approximation_sequence,
     convolve,
     indicator_functional,
+    residual_curve,
 )
 from martfock.functionals import (
     FockCoefficients,
@@ -183,3 +184,54 @@ class TestApproximationResidual:
     def test_order_guard(self):
         with pytest.raises(InsufficientOrderError):
             approximation_residual(all_ones(), 2, 0.4, TruncatedDomain(3))
+
+
+def boolean_mask_residual(phi, n, q, domain):
+    """Reference: the residual as a boolean-indexed sum outside {0..n}."""
+    masks = domain.masks()
+    outside = masks >= (1 << (n + 1))
+    if not outside.any():
+        return 0.0
+    values = phi.values_on(domain)
+    w = weight_vector(domain)
+    total = np.sum((w[outside] ** (-2.0 * q)) * np.abs(values[outside]) ** 2)
+    return float(np.sqrt(total))
+
+
+def residual_inputs():
+    rng = np.random.default_rng(7)
+    for horizon in (0, 1, 3, 8, 13):
+        d = TruncatedDomain(horizon)
+        masks = rng.choice(d.size, size=min(d.size, 300), replace=False)
+        values = rng.standard_normal(masks.size) + 1j * rng.standard_normal(masks.size)
+        table = FockCoefficients(
+            {FiniteSubset(int(m)): complex(v) for m, v in zip(masks, values)})
+        yield table, d
+        if horizon <= 8:  # the rule evaluates subset by subset
+            yield all_ones(), d
+
+
+class TestResidualCurve:
+    @pytest.mark.parametrize("q", [0.75, 1.0, 1.5, 2.3])
+    def test_bitwise_equal_to_per_level_and_boolean_mask(self, q):
+        for phi, d in residual_inputs():
+            level = d.max_index + 2
+            curve = residual_curve(phi, level, q, d)
+            assert len(curve) == level + 1
+            for n, got in enumerate(curve):
+                assert type(got) is float
+                assert got == approximation_residual(phi, n, q, d)
+                assert got == boolean_mask_residual(phi, n, q, d)
+
+    def test_levels_covering_the_domain_are_exact_zero(self):
+        d = TruncatedDomain(4)
+        curve = residual_curve(all_ones(), 7, 1.0, d)
+        assert curve[:4] == [boolean_mask_residual(all_ones(), n, 1.0, d)
+                             for n in range(4)]
+        assert all(r > 0 for r in curve[:4])
+        assert curve[4:] == [0.0] * 4
+        assert residual_curve(all_ones(), 3, 1.0, TruncatedDomain(2))[2:] == [0.0, 0.0]
+
+    def test_order_checked_first(self):
+        with pytest.raises(InsufficientOrderError):
+            residual_curve(all_ones(), 2, 0.5, TruncatedDomain(31))

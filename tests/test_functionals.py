@@ -64,6 +64,16 @@ class TestFockCoefficients:
         v = phi.values_on(TruncatedDomain(1))
         assert list(v) == [0, 0, 2.0, -1j]
 
+    def test_values_on_drops_keys_outside_domain(self):
+        masks = (0, 5, 6, 8, 70, 1 << 40, (1 << 64) - 1)
+        phi = FockCoefficients({FiniteSubset(m): complex(m % 97, 1) for m in masks})
+        expected = np.zeros(8, dtype=complex)
+        for m in (0, 5, 6):
+            expected[m] = complex(m, 1)
+        assert np.array_equal(phi.values_on(TruncatedDomain(2)), expected)
+        assert np.array_equal(FockCoefficients.zero().values_on(TruncatedDomain(1)),
+                              np.zeros(4, dtype=complex))
+
     def test_restricted_drops_outside(self):
         phi = table_functional([([0], 1.0), ([3], 5.0)])
         r = phi.restricted(TruncatedDomain(1))

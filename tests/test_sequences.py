@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
 from martfock.functionals import FockCoefficients
@@ -18,6 +19,7 @@ from martfock.sequences import (
     is_generalized_martingale,
     martingale_limit,
     strong_convergence_test,
+    _stabilization_indices,
     uniform_boundedness,
 )
 from martfock.subsets import FiniteSubset, TruncatedDomain
@@ -246,3 +248,42 @@ class TestSequenceSerialization:
     def test_format_checked(self):
         with pytest.raises(ValueError):
             FunctionalSequence.from_json_dict({"format": "other", "terms": []})
+
+
+def per_column_stabilization(values, tol):
+    """Reference: one past the last moving step of each column, by a loop."""
+    diffs = np.abs(np.diff(values, axis=0)) > tol
+    out = np.zeros(values.shape[1], dtype=int)
+    for col in range(values.shape[1]):
+        moving = np.nonzero(diffs[:, col])[0]
+        out[col] = int(moving[-1]) + 1 if moving.size else 0
+    return out
+
+
+class TestStabilizationIndices:
+    @given(st.integers(1, 30), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_matches_per_column_loop(self, rows, cols, seed):
+        # Steps of 1.0 move; steps of 0, tol/2 or exactly tol do not.  All
+        # partial sums are small dyadic rationals, so the differences are exact.
+        tol = 0.5
+        rng = np.random.default_rng(seed)
+        moving = rng.random((rows - 1, cols)) < rng.random()
+        moving[:, 0] = False
+        if rows > 1 and cols > 1:
+            moving[:, -1] = False
+            moving[-1, -1] = True
+        still = rng.choice([0.0, tol / 2, tol, -tol], size=moving.shape)
+        steps = np.where(moving, rng.choice([1.0, -1.0], size=moving.shape), still)
+        values = np.vstack([np.zeros((1, cols)), np.cumsum(steps, axis=0)])
+        values = values * rng.choice([1.0, 1j])
+        got = _stabilization_indices(values, tol)
+        expected = per_column_stabilization(values, tol)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert got[0] == 0
+        if rows > 1 and cols > 1:
+            assert got[-1] == rows - 1
+
+    def test_single_row_gives_zeros(self):
+        got = _stabilization_indices(np.ones((1, 5), dtype=complex), 0.0)
+        assert got.tolist() == [0] * 5

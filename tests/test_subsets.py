@@ -127,6 +127,43 @@ class TestTruncatedDomain:
             assert w[s.mask] == weight(s)
 
 
+def per_bit_weight_vector(domain):
+    """Reference formulation: one boolean-mask pass per bit, ascending k."""
+    masks = domain.masks()
+    w = np.ones(domain.size)
+    for k in range(domain.max_index + 1):
+        w[(masks >> k) & 1 == 1] *= k + 1
+    return w
+
+
+class TestWeightVectorKernel:
+    def test_bitwise_equal_to_per_bit_formulation(self):
+        # The weights reach 21! > 2^53 here, yet every one is exact: its odd
+        # part divides that of 21!, which is below 2^53.
+        for n in range(21):
+            d = TruncatedDomain(n)
+            got = weight_vector(d)
+            assert got.dtype == np.float64 and got.shape == (d.size,)
+            assert np.array_equal(got.view(np.int64),
+                                  per_bit_weight_vector(d).view(np.int64))
+
+    def test_exact_below_two_to_53(self):
+        # Every weight of a subset of {0..16} is at most 17! < 2^53.
+        exact = [math.prod(k + 1 for k in FiniteSubset(m).elements)
+                 for m in range(1 << 17)]
+        for n in range(17):
+            w = weight_vector(TruncatedDomain(n))
+            assert w.tolist() == exact[: 1 << (n + 1)]
+
+    def test_guard_checked_before_allocating(self):
+        # The small case first: without a guard it fails cheaply instead of
+        # going on to the 2^32-entry request.
+        with pytest.raises(DomainTooLargeError):
+            weight_vector(TruncatedDomain(4, guard=3))
+        with pytest.raises(DomainTooLargeError):
+            weight_vector(TruncatedDomain(31))
+
+
 class TestWeightedSeries:
     def test_small_enumeration(self):
         # 1 + 1 + 1/4 + 1/4 over the four subsets of {0,1}
