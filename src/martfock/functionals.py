@@ -11,7 +11,6 @@ certificates |F(sigma)| <= C * weight(sigma)^p with fitting and verification.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
@@ -38,6 +37,9 @@ class FockCoefficients:
 
     support_bound: smallest N with all nonzero coefficients on subsets of
     {0,..,N}, or None when unbounded (rule-backed analytic functionals).
+
+    The memo table is not thread-safe; nothing in the package shares a
+    functional across threads.
     """
 
     def __init__(
@@ -48,7 +50,6 @@ class FockCoefficients:
     ):
         self._table: dict[FiniteSubset, complex] = {}
         self.rule = rule
-        self._lock = threading.Lock()
         if table:
             for sigma, value in table.items():
                 if not isinstance(sigma, FiniteSubset):
@@ -56,11 +57,9 @@ class FockCoefficients:
                 self._table[sigma] = complex(value)
         if rule is None:
             if support_bound is None:
-                support_bound = 0
-                for sigma in self._table:
-                    top = sigma.max_element()
-                    if top is not None:
-                        support_bound = max(support_bound, top)
+                support_bound = max(
+                    (s.max_element() or 0 for s in self._table), default=0
+                )
             else:
                 for sigma in self._table:
                     if not indicator(sigma, support_bound):
@@ -87,20 +86,26 @@ class FockCoefficients:
     ) -> "FockCoefficients":
         return cls(rule=rule, support_bound=support_bound)
 
+    @classmethod
+    def from_vector(cls, values: np.ndarray, support_bound: int) -> "FockCoefficients":
+        """Table-backed functional from a dense coefficient vector indexed by
+        bitmask; zero entries are dropped, keys ascend."""
+        return cls(
+            table={FiniteSubset(int(m)): complex(values[m])
+                   for m in np.flatnonzero(values)},
+            support_bound=support_bound,
+        )
+
     def evaluate(self, sigma: FiniteSubset) -> complex:
         """Coefficient at sigma: table value, else rule value, else 0."""
-        with self._lock:
-            if sigma in self._table:
-                return self._table[sigma]
-        if self.rule is not None:
-            value = complex(self.rule(sigma))
-            with self._lock:
-                self._table.setdefault(sigma, value)
-            return value
-        return 0j
+        if sigma in self._table or self.rule is None:
+            return self._table.get(sigma, 0j)
+        return self._table.setdefault(sigma, complex(self.rule(sigma)))
 
     def values_on(self, domain: TruncatedDomain) -> np.ndarray:
-        """Coefficients over the whole domain, ascending bitmask order."""
+        """Coefficients over the whole domain, ascending bitmask order.  The
+        domain's guard is checked before the vector is allocated."""
+        domain._check_guard()
         values = np.zeros(domain.size, dtype=np.complex128)
         if self.rule is not None:
             for sigma in domain:
@@ -116,17 +121,11 @@ class FockCoefficients:
         return values
 
     def table_items(self) -> Iterable[tuple[FiniteSubset, complex]]:
-        with self._lock:
-            return list(self._table.items())
+        return list(self._table.items())
 
     def restricted(self, domain: TruncatedDomain) -> "FockCoefficients":
         """Table-backed restriction to the domain (zeros dropped)."""
-        values = self.values_on(domain)
-        table = {
-            FiniteSubset(int(m)): complex(values[m])
-            for m in np.nonzero(values)[0]
-        }
-        return FockCoefficients(table=table, support_bound=domain.max_index)
+        return FockCoefficients.from_vector(self.values_on(domain), domain.max_index)
 
     def __add__(self, other: "FockCoefficients") -> "FockCoefficients":
         if self.rule is not None or other.rule is not None:

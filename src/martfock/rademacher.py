@@ -138,11 +138,8 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def chaos_expand(f: RandomFunctional) -> FockCoefficients:
     """Walsh chaos coefficients c(sigma) = <Z_sigma, f> for all sigma within
     the horizon, via the fast transform."""
-    coeffs = fwht(f.values) / f.space.size
-    table = {
-        FiniteSubset(int(m)): complex(coeffs[m]) for m in np.nonzero(coeffs)[0]
-    }
-    return FockCoefficients(table=table, support_bound=f.space.horizon)
+    return FockCoefficients.from_vector(fwht(f.values) / f.space.size,
+                                       f.space.horizon)
 
 
 def synthesize(c: FockCoefficients, space: SampleSpace) -> RandomFunctional:

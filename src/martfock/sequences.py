@@ -22,7 +22,7 @@ from .functionals import (
     dual_norm_bound,
     fit_growth_values,
 )
-from .rademacher import RandomFunctional, chaos_expand
+from .rademacher import RandomFunctional, fwht
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
 
 SEQUENCE_FORMAT = "fock-sequence/v1"
@@ -133,27 +133,33 @@ def is_generalized_martingale(
     consecutive pair; returns the first violation (n, sigma) on failure."""
     if len(seq) < 2:
         raise InsufficientLengthError("need at least two terms to test the relation")
-    masks = domain.masks()
-    values = seq.values_matrix(domain)
-    for n in range(len(seq) - 1):
-        truncation = np.where(masks < (1 << (n + 1)), values[n + 1], 0j)
-        bad = np.nonzero(np.abs(values[n] - truncation) > tol)[0]
+    witness = _martingale_witness(seq.values_matrix(domain), tol)
+    return witness is None, witness
+
+
+def _martingale_witness(
+    values: np.ndarray, tol: float
+) -> Optional[tuple[int, FiniteSubset]]:
+    """First (n, sigma) where row n of the values matrix differs by more than
+    tol from row n+1 truncated to the masks below 2^(n+1), or None."""
+    for n in range(len(values) - 1):
+        truncation = values[n + 1].copy()
+        truncation[2 << n:] = 0
+        bad = np.flatnonzero(np.abs(values[n] - truncation) > tol)
         if bad.size:
-            return False, (n, FiniteSubset(int(bad[0])))
-    return True, None
+            return n, FiniteSubset(int(bad[0]))
+    return None
 
 
 def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
     """The coefficient sequence of the classical martingale n -> E[f | first
     n+1 coordinates]: term n is the chaos table of f truncated to subsets of
     {0,..,n}."""
-    full = chaos_expand(f)
-    terms = []
-    for n in range(f.space.horizon + 1):
-        limit = 1 << (n + 1)
-        table = {s: v for s, v in full.table_items() if s.mask < limit}
-        terms.append(FockCoefficients(table=table, support_bound=n))
-    return FunctionalSequence(terms)
+    coeffs = fwht(f.values) / f.space.size
+    return FunctionalSequence([
+        FockCoefficients.from_vector(coeffs[: 2 << n], n)
+        for n in range(f.space.horizon + 1)
+    ])
 
 
 def _stabilization_indices(values: np.ndarray, tol: float) -> np.ndarray:
@@ -194,13 +200,6 @@ def strong_convergence_test(
     sup_abs = np.abs(values).max(axis=0)
     stab = _stabilization_indices(values, tol)
 
-    def _limit_table() -> FockCoefficients:
-        final = values[-1]
-        table = {
-            FiniteSubset(int(m)): complex(final[m]) for m in np.nonzero(final)[0]
-        }
-        return FockCoefficients(table=table, support_bound=domain.max_index)
-
     def _diagnostics(cert: Optional[GrowthCertificate]) -> tuple[SigmaDiagnostic, ...]:
         margins = (
             cert.bound_at(weights) - sup_abs
@@ -213,46 +212,34 @@ def strong_convergence_test(
             for m in range(domain.size)
         )
 
-    is_mart, _ = is_generalized_martingale(seq, domain, tol)
-    if is_mart and domain.max_index <= k_last:
-        curve, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
-        if cert is not None:
+    if domain.max_index <= k_last and _martingale_witness(values, tol) is None:
+        # Martingale coefficients stabilize structurally, at n = max(sigma).
+        tail_start = domain.max_index
+        settled = True
+    else:
+        tail_start = k_last - max(2, len(seq) // 3)
+        settled = bool(np.all(stab <= tail_start))
+    if settled:
+        _, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
+        if cert is None:
             return ConvergenceVerdict(
-                ConvergenceStatus.CONVERGED,
-                limit=_limit_table(),
-                uniform_certificate=cert,
-                tail_start=domain.max_index,
-                diagnostics=_diagnostics(cert),
+                ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
+                diagnostics=_diagnostics(None),
             )
         return ConvergenceVerdict(
-            ConvergenceStatus.INCONCLUSIVE,
-            tail_start=domain.max_index,
-            diagnostics=_diagnostics(None),
-        )
-
-    tail_len = max(2, len(seq) // 3)
-    cutoff = k_last - tail_len
-    if np.all(stab <= cutoff):
-        curve, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
-        if cert is not None:
-            return ConvergenceVerdict(
-                ConvergenceStatus.CONVERGED,
-                limit=_limit_table(),
-                uniform_certificate=cert,
-                tail_start=cutoff,
-                diagnostics=_diagnostics(cert),
-            )
-        return ConvergenceVerdict(
-            ConvergenceStatus.INCONCLUSIVE, tail_start=cutoff,
-            diagnostics=_diagnostics(None),
+            ConvergenceStatus.CONVERGED,
+            limit=FockCoefficients.from_vector(values[-1], domain.max_index),
+            uniform_certificate=cert,
+            tail_start=tail_start,
+            diagnostics=_diagnostics(cert),
         )
 
     # Divergence scan: fit certificates to the pre-tail prefix, then look for
     # a subset whose tail magnitudes grow monotonically past every fitted bound.
-    head_sup = np.abs(values[: cutoff + 1]).max(axis=0)
+    head_sup = np.abs(values[: tail_start + 1]).max(axis=0)
     head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
-    tail_abs = np.abs(values[cutoff:])
-    for m in np.nonzero(stab > cutoff)[0]:
+    tail_abs = np.abs(values[tail_start:])
+    for m in np.nonzero(stab > tail_start)[0]:
         col = tail_abs[:, m]
         if not np.all(np.diff(col) > 0):
             continue
@@ -266,11 +253,11 @@ def strong_convergence_test(
                 ConvergenceStatus.DIVERGED,
                 witness=(FiniteSubset(int(m)),
                          "coefficient magnitudes grow past every fitted bound"),
-                tail_start=cutoff,
+                tail_start=tail_start,
                 diagnostics=_diagnostics(None),
             )
     return ConvergenceVerdict(
-        ConvergenceStatus.INCONCLUSIVE, tail_start=cutoff,
+        ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
         diagnostics=_diagnostics(None),
     )
 
@@ -283,21 +270,23 @@ def martingale_limit(
     """Limit coefficients of a truncation martingale: at each subset, the
     value of the first term whose truncation level covers it (the value is
     constant from there on)."""
-    ok, witness = is_generalized_martingale(seq, domain, tol)
-    if not ok:
+    if len(seq) < 2:
+        raise InsufficientLengthError("need at least two terms to test the relation")
+    values = seq.values_matrix(domain)
+    witness = _martingale_witness(values, tol)
+    if witness is not None:
         raise NotAMartingaleError(witness)
     if domain.max_index > len(seq) - 1:
         raise InsufficientLengthError(
             f"domain needs terms up to index {domain.max_index}, "
             f"sequence has {len(seq)}"
         )
-    table: dict[FiniteSubset, complex] = {}
-    for sigma in domain:
-        first = sigma.max_element() or 0
-        value = seq[first].evaluate(sigma)
-        if value != 0:
-            table[sigma] = value
-    return FockCoefficients(table=table, support_bound=domain.max_index)
+    # Masks in [2^k, 2^(k+1)) have max element k: term k first covers them.
+    return FockCoefficients.from_vector(
+        np.concatenate([values[0, :2]] + [values[k, 1 << k : 2 << k]
+                                          for k in range(1, domain.max_index + 1)]),
+        domain.max_index,
+    )
 
 
 @dataclass(frozen=True)

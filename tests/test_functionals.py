@@ -15,7 +15,13 @@ from martfock.functionals import (
     verify_certificate,
 )
 from martfock.convolution import indicator_functional
-from martfock.subsets import FiniteSubset, TruncatedDomain, weight, weight_vector
+from martfock.subsets import (
+    DomainTooLargeError,
+    FiniteSubset,
+    TruncatedDomain,
+    weight,
+    weight_vector,
+)
 
 
 def table_functional(entries):
@@ -80,6 +86,37 @@ class TestFockCoefficients:
         assert r.evaluate(FiniteSubset.from_elements([0])) == 1.0
         assert r.evaluate(FiniteSubset.from_elements([3])) == 0
         assert r.support_bound == 1
+
+    def test_guard_applies_to_tables(self):
+        # 2^5 masks against guard max_index=3: raise, whatever backs the table.
+        domain = TruncatedDomain(4, guard=3)
+        for phi in (FockCoefficients.zero(), table_functional([([0], 1.0)])):
+            with pytest.raises(DomainTooLargeError):
+                phi.values_on(domain)
+            with pytest.raises(DomainTooLargeError):
+                phi.restricted(domain)
+        assert FockCoefficients.zero().values_on(TruncatedDomain(3, guard=3)).size == 16
+
+    @pytest.mark.parametrize("entries", [
+        [],
+        [0.0, -0.0, complex(-0.0, -0.0), 0.0],
+        [1.0, 0.0, -0.0, 2 - 3j, 0.0, complex(0.0, -0.0), 5e-324, -1.0],
+        [math.nan, 0.0, complex(0.0, math.nan), math.inf, -math.inf, 0.0,
+         complex(-math.inf, 1.0), complex(0.0, -0.0)],
+    ])
+    def test_from_vector_matches_comprehension(self, entries):
+        values = np.array(entries + [0.0] * (8 - len(entries)), dtype=np.complex128)
+        # The dense-to-table loop from_vector replaces, kept as the oracle.
+        oracle = {FiniteSubset(int(m)): complex(values[m]) for m in np.nonzero(values)[0]}
+        phi = FockCoefficients.from_vector(values, 2)
+        got = dict(phi.table_items())
+        assert list(got) == list(oracle)
+        assert [repr(v) for v in got.values()] == [repr(v) for v in oracle.values()]
+        assert phi.support_bound == 2
+
+    def test_from_vector_checks_support_bound(self):
+        with pytest.raises(ValueError):
+            FockCoefficients.from_vector(np.ones(8, dtype=complex), 1)
 
     def test_arithmetic(self):
         a = table_functional([([0], 1.0)])

@@ -8,6 +8,7 @@ from martfock.rademacher import (
     SampleSpace,
     chaos_expand,
     conditional_expectation,
+    fwht,
     random_functional,
 )
 from martfock.sequences import (
@@ -22,7 +23,7 @@ from martfock.sequences import (
     _stabilization_indices,
     uniform_boundedness,
 )
-from martfock.subsets import FiniteSubset, TruncatedDomain
+from martfock.subsets import DomainTooLargeError, FiniteSubset, TruncatedDomain, weight
 
 
 def indicator_sequence(k):
@@ -63,6 +64,12 @@ class TestMartingalePredicate:
                 FunctionalSequence([FockCoefficients.zero()]), TruncatedDomain(1)
             )
 
+    def test_guard_applies_to_table_terms(self):
+        seq = FunctionalSequence([FockCoefficients.zero(),
+                                  FockCoefficients({FiniteSubset(0): 1.0})])
+        with pytest.raises(DomainTooLargeError):
+            is_generalized_martingale(seq, TruncatedDomain(4, guard=3))
+
 
 class TestClassicalToSequence:
     def test_product_pair(self):
@@ -79,6 +86,21 @@ class TestClassicalToSequence:
         for term in seq.terms:
             assert term.evaluate(FiniteSubset(0)) == 1.0
             assert len(list(term.table_items())) == 1
+
+    def test_terms_equal_filtered_full_table(self):
+        # The per-term filter of the whole chaos table, kept as the oracle.
+        sp = SampleSpace(6)
+        f = random_functional(sp, 12)
+        coeffs = fwht(f.values) / sp.size
+        full = {FiniteSubset(int(m)): complex(coeffs[m]) for m in np.nonzero(coeffs)[0]}
+        assert chaos_expand(f).table_items() == list(full.items())
+        seq = classical_to_sequence(f)
+        for n, term in enumerate(seq.terms):
+            expected = [(s, v) for s, v in full.items() if s.mask < (1 << (n + 1))]
+            got = term.table_items()
+            assert [s for s, _ in got] == [s for s, _ in expected]
+            assert [repr(v) for _, v in got] == [repr(v) for _, v in expected]
+            assert term.support_bound == n
 
     def test_last_term_is_full_expansion(self):
         sp = SampleSpace(5)
@@ -150,6 +172,64 @@ class TestStrongConvergence:
             )
 
 
+def table_sequence(rows):
+    """One table-backed term per row {mask: coefficient}."""
+    return FunctionalSequence(
+        [FockCoefficients({FiniteSubset(m): v for m, v in row.items()}) for row in rows]
+    )
+
+
+GROWTH_REASON = "coefficient magnitudes grow past every fitted bound"
+
+# Every branch of strong_convergence_test, default tol and p-grid, with the
+# verdict fields recorded before its branches were merged into one:
+# (sequence, domain max_index, status, tail_start, witness (mask, reason),
+#  certificate (scale, order), limit (support_bound, [(mask, repr(value))])).
+VERDICT_CASES = {
+    "structural-converged": (
+        lambda: approximation_sequence(FockCoefficients(
+            {FiniteSubset(0): 1.0, FiniteSubset(2): 2.0, FiniteSubset(9): -1j}), 5),
+        4, "CONVERGED", 4, None, (2.0, 0.0),
+        (4, [(0, "(1+0j)"), (2, "(2+0j)"), (9, "-1j")])),
+    "structural-inconclusive": (  # |F| = weight^3: no p in the grid is stable
+        lambda: approximation_sequence(FockCoefficients(
+            {s: float(weight(s)) ** 3 for s in TruncatedDomain(3)}), 3),
+        3, "INCONCLUSIVE", 3, None, None, None),
+    "martingale-wider-domain": (
+        lambda: approximation_sequence(FockCoefficients(
+            {FiniteSubset(0): 1.0, FiniteSubset(2): 2.0, FiniteSubset(5): 0.5j}), 8),
+        10, "CONVERGED", 5, None, (2.0, 0.0),
+        (10, [(0, "(1+0j)"), (2, "(2+0j)"), (5, "0.5j")])),
+    "empirical-converged": (
+        lambda: table_sequence(
+            [{0: a, 2: 3.0} for a in (1.0, 0.5, 2.0, 2.0, 2.0, 2.0, 2.0)]),
+        2, "CONVERGED", 4, None, (3.0, 0.0), (2, [(0, "(2+0j)"), (2, "(3+0j)")])),
+    "diverged": (
+        lambda: table_sequence([{0: float((n + 1) ** 3), 3: 1.0} for n in range(12)]),
+        2, "DIVERGED", 7, (0, GROWTH_REASON), None, None),
+    "scan-inconclusive": (
+        lambda: table_sequence([{0: 1.0 + 0.5 * (-1) ** n} for n in range(12)]),
+        2, "INCONCLUSIVE", 7, None, None, None),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_verdict_branches_pinned(case):
+    build, max_index, status, tail_start, witness, cert, limit = case
+    verdict = strong_convergence_test(build(), TruncatedDomain(max_index))
+    assert verdict.status.value == status
+    assert verdict.tail_start == tail_start
+    got_witness = verdict.witness and (verdict.witness[0].mask, verdict.witness[1])
+    assert got_witness == witness
+    got_cert = verdict.uniform_certificate
+    assert (got_cert and (got_cert.scale, got_cert.order)) == cert
+    got_limit = verdict.limit and (
+        verdict.limit.support_bound,
+        [(s.mask, repr(v)) for s, v in verdict.limit.table_items()])
+    assert got_limit == limit
+    assert len(verdict.diagnostics) == 1 << (max_index + 1)
+
+
 class TestMartingaleLimit:
     def test_indicator_sequence_limit_is_all_ones(self):
         limit = martingale_limit(indicator_sequence(5), TruncatedDomain(5), tol=0.0)
@@ -191,6 +271,28 @@ class TestMartingaleLimit:
     def test_domain_needs_enough_terms(self):
         with pytest.raises(InsufficientLengthError):
             martingale_limit(indicator_sequence(2), TruncatedDomain(5), tol=0.0)
+
+    def test_drift_below_tol_keeps_first_covering_term(self):
+        # Term n holds base + n * 1e-12 on subsets of {0..n}: a martingale at
+        # tol 1e-9 whose values drift, so the limit is not the last term.
+        domain = TruncatedDomain(4)
+        base = {s: complex(weight(s), -len(s)) for s in domain}
+        seq = FunctionalSequence([
+            FockCoefficients({s: v + n * 1e-12 for s, v in base.items()
+                              if s.mask < (1 << (n + 1))}, support_bound=n)
+            for n in range(6)
+        ])
+        limit = martingale_limit(seq, domain, tol=1e-9)
+        # The per-subset loop martingale_limit replaces, kept as the oracle.
+        oracle = {}
+        for sigma in domain:
+            value = seq[sigma.max_element() or 0].evaluate(sigma)
+            if value != 0:
+                oracle[sigma] = value
+        assert limit.table_items() == list(oracle.items())
+        assert limit.support_bound == 4
+        assert not np.array_equal(limit.values_on(domain),
+                                  seq.values_matrix(domain)[-1])
 
 
 class TestUniformBoundedness:
