@@ -36,7 +36,8 @@ EXIT_ERROR = 2
 
 
 def _dump_json(data: dict, out: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -11,28 +11,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import FockCoefficients, InsufficientOrderError
+from .functionals import FockCoefficients, InsufficientOrderError, _product
 from .sequences import FunctionalSequence
-from .subsets import FiniteSubset, TruncatedDomain, indicator, weight_vector
+from .subsets import TruncatedDomain, weight_vector
+
+INDICATOR_MAX_LEVEL = 20
 
 
 def convolve(a: FockCoefficients, b: FockCoefficients) -> FockCoefficients:
     """Pointwise product of coefficient functions; the support is contained
     in the intersection of the factors' supports."""
-    bounds = [x.support_bound for x in (a, b) if x.support_bound is not None]
-    bound = min(bounds) if bounds else None
+    bound = min((x.support_bound for x in (a, b) if x.support_bound is not None),
+                default=None)
     if a.rule is not None or b.rule is not None:
-        return FockCoefficients(
-            rule=lambda s: a.evaluate(s) * b.evaluate(s), support_bound=bound
-        )
-    table = {}
-    b_table = dict(b.table_items())
-    for sigma, value in a.table_items():
-        if sigma in b_table:
-            product = value * b_table[sigma]
-            if product != 0:
-                table[sigma] = product
-    return FockCoefficients(table=table, support_bound=bound)
+        return FockCoefficients.from_rule(lambda s: a.evaluate(s) * b.evaluate(s), bound)
+    masks, ia, ib = np.intersect1d(a._masks, b._masks, assume_unique=True,
+                                   return_indices=True)
+    return FockCoefficients._from_arrays(masks, _product(a._values[ia], b._values[ib]),
+                                         bound)
 
 
 def all_ones() -> FockCoefficients:
@@ -41,12 +37,11 @@ def all_ones() -> FockCoefficients:
     return FockCoefficients(rule=lambda s: 1.0, support_bound=None)
 
 
-def indicator_functional(n: int, guard: int = 20) -> FockCoefficients:
+def indicator_functional(n: int) -> FockCoefficients:
     """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
-    if not 0 <= n <= guard:
-        raise ValueError(f"truncation level must lie in 0..{guard}, got {n}")
-    table = {FiniteSubset(m): 1.0 + 0j for m in range(1 << (n + 1))}
-    return FockCoefficients(table=table, support_bound=n)
+    if not 0 <= n <= INDICATOR_MAX_LEVEL:
+        raise ValueError(f"truncation level must lie in 0..{INDICATOR_MAX_LEVEL}, got {n}")
+    return FockCoefficients.from_vector(np.ones(2 << n, dtype=np.complex128), n)
 
 
 def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functionals import FockCoefficients
+from .functionals import FockCoefficients, json_complex, json_document, json_typed
 from .subsets import FiniteSubset, TruncatedDomain
 
 RANDOM_FUNCTIONAL_FORMAT = "random-functional/v1"
@@ -73,13 +73,9 @@ class RandomFunctional:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RandomFunctional":
-        if data.get("format") != RANDOM_FUNCTIONAL_FORMAT:
-            raise ValueError(f"unexpected format field: {data.get('format')!r}")
-        space = SampleSpace(data["horizon"])
-        values = np.array(
-            [complex(v["re"], v["im"]) for v in data["values"]], dtype=np.complex128
-        )
-        return cls(space, values)
+        json_document(data, RANDOM_FUNCTIONAL_FORMAT)
+        space = SampleSpace(json_typed(data["horizon"], int, "horizon"))
+        return cls(space, json_complex(json_typed(data["values"], list, "values")))
 
 
 def constant(space: SampleSpace, value: complex = 1.0) -> RandomFunctional:

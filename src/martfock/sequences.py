@@ -21,6 +21,8 @@ from .functionals import (
     GrowthCertificate,
     dual_norm_bound,
     fit_growth_values,
+    json_document,
+    json_typed,
 )
 from .rademacher import RandomFunctional, fwht
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
@@ -73,9 +75,9 @@ class FunctionalSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FunctionalSequence":
-        if data.get("format") != SEQUENCE_FORMAT:
-            raise ValueError(f"unexpected format field: {data.get('format')!r}")
-        return cls([FockCoefficients.from_json_dict(t) for t in data["terms"]])
+        json_document(data, SEQUENCE_FORMAT)
+        terms = json_typed(data["terms"], list, "terms")
+        return cls([FockCoefficients.from_json_dict(t) for t in terms])
 
 
 class ConvergenceStatus(enum.Enum):
