@@ -183,9 +183,13 @@ class FockCoefficients:
         if self.rule is not None:
             return np.fromiter(map(self.evaluate, domain), np.complex128, domain.size)
         values = np.zeros(domain.size, dtype=np.complex128)
-        inside = self._masks.searchsorted(np.uint64(domain.size))  # a prefix
+        inside = self._inside(domain)
         values[self._masks[:inside]] = self._values[:inside]
         return values
+
+    def _inside(self, domain: TruncatedDomain) -> int:
+        """How many table masks lie in the domain; they are a prefix."""
+        return int(self._masks.searchsorted(np.uint64(domain.size - 1), side="right"))
 
     def _pairs(self) -> Iterable[tuple[int, complex]]:
         """(mask, coefficient) pairs in ascending mask order: the table, or
@@ -199,8 +203,15 @@ class FockCoefficients:
         return [(FiniteSubset(m), v) for m, v in self._pairs()]
 
     def restricted(self, domain: TruncatedDomain) -> "FockCoefficients":
-        """Table-backed restriction to the domain (zeros dropped)."""
-        return FockCoefficients.from_vector(self.values_on(domain), domain.max_index)
+        """Table-backed restriction to the domain (zeros dropped).  A table
+        keeps the prefix of its masks inside the domain, with no dense vector;
+        a rule is evaluated over the whole domain."""
+        domain._check_guard()
+        if self.rule is not None:
+            return FockCoefficients.from_vector(self.values_on(domain), domain.max_index)
+        inside = self._inside(domain)
+        return FockCoefficients._from_arrays(self._masks[:inside], self._values[:inside],
+                                             domain.max_index)
 
     def __add__(self, other: "FockCoefficients") -> "FockCoefficients":
         if self.rule is not None or other.rule is not None:

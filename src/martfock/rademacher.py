@@ -115,19 +115,24 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (self-inverse up to 1/size).
 
     Output index s holds sum over m of (-1)^popcount(s & m) * values[m].
+    Raises ValueError when a butterfly overflows float64 or forms inf - inf.
     """
     v = np.array(values, dtype=np.complex128)
     n = v.size
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     h = 1
-    while h < n:
-        v = v.reshape(-1, 2 * h)
-        top = v[:, :h].copy()
-        v[:, :h] = top + v[:, h:]
-        v[:, h:] = top - v[:, h:]
-        v = v.reshape(n)
-        h *= 2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while h < n:
+                v = v.reshape(-1, 2 * h)
+                top = v[:, :h].copy()
+                v[:, :h] = top + v[:, h:]
+                v[:, h:] = top - v[:, h:]
+                v = v.reshape(n)
+                h *= 2
+    except FloatingPointError:
+        raise ValueError("Walsh-Hadamard transform overflows float64") from None
     return v
 
 
@@ -176,10 +181,6 @@ def random_functional(space: SampleSpace, seed: int) -> RandomFunctional:
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
     return RandomFunctional(space, values)
-
-
-def uniform_probabilities(space: SampleSpace) -> np.ndarray:
-    return np.full(space.size, 1.0 / space.size)
 
 
 def biased_probabilities(space: SampleSpace, minus_prob: float) -> np.ndarray:
@@ -245,7 +246,8 @@ def verify_normal_martingale(
     With the uniform measure every deviation is exactly 0; a biased measure
     (negative control) breaks the mean condition.
     """
-    probs = uniform_probabilities(space) if probabilities is None else np.asarray(probabilities, dtype=float)
+    probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
+             else np.asarray(probabilities, dtype=float))
     if probs.shape != (space.size,):
         raise ValueError("probability vector length mismatch")
     walk = np.cumsum(

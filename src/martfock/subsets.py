@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import zeta
 
 MAX_INDEX = 63
 DEFAULT_ENUMERATION_GUARD = 30
@@ -73,9 +72,6 @@ class FiniteSubset:
 
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         return FiniteSubset(self.mask | other.mask)
-
-    def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
-        return FiniteSubset(self.mask & other.mask)
 
     def isdisjoint(self, other: "FiniteSubset") -> bool:
         return self.mask & other.mask == 0
@@ -226,11 +222,46 @@ def weighted_series_product(p: float, max_index: int) -> float:
     return math.prod(1.0 + k ** (-float(p)) for k in range(1, max_index + 2))
 
 
+# Euler-Maclaurin for the Hurwitz zeta: the head length and the Bernoulli
+# numbers B_2 .. B_24 as (numerator, denominator).  The head length is tuned:
+# with 16 terms zeta(1.5), zeta(2) and zeta(3) come out correctly rounded, and
+# full_series keeps bit for bit the values scipy.special.zeta gave it at s in
+# {1.01, 1.5, 2, 3, 7.5, 40} (tests/test_subsets.py pins them).
+_ZETA_HEAD = 16
+_BERNOULLI = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730)]
+# B_2j / (2j)!, each correctly rounded (int / int division rounds once).
+_ZETA_COEFFS = [n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(_BERNOULLI, 1)]
+
+
+def zeta(s: float, a: float = 1.0) -> float:
+    """Hurwitz zeta sum_{k>=0} (a+k)^-s for real s > 1 and a >= 1.
+
+    Euler-Maclaurin summation (F. Johansson, Numer. Algorithms 69, 2015): the
+    head terms (a+k)^-s for k < 16, the integral and half terms at x = a+16,
+    and twelve Bernoulli corrections B_2j/(2j)! * s(s+1)..(s+2j-2) *
+    x^(-s-2j+1).  The parts are added by one math.fsum, so the result is
+    within about one ulp of the exact value.
+    """
+    x = a + _ZETA_HEAD
+    t = x ** -s
+    parts = [(a + k) ** -s for k in range(_ZETA_HEAD)]
+    parts += [x ** (1.0 - s) / (s - 1.0), 0.5 * t]
+    for i in range(2 * len(_ZETA_COEFFS) - 1):
+        if t == 0.0:
+            break  # every later correction underflows too (s may be infinite)
+        t *= (s + i) / x
+        if i % 2 == 0:
+            parts.append(_ZETA_COEFFS[i // 2] * t)
+    return math.fsum(parts)
+
+
 def series_upper_bound(p: float) -> float:
     """Upper bound exp(sum_{k>=1} k^-p) on the full (untruncated) series; p > 1."""
     if p <= 1:
         raise InvalidExponentError(f"upper bound requires p > 1, got {p}")
-    return math.exp(float(zeta(p)))
+    return math.exp(zeta(p))
 
 
 def full_series(s: float, head_terms: int = 2000) -> float:
@@ -246,7 +277,7 @@ def full_series(s: float, head_terms: int = 2000) -> float:
     log_head = float(np.sum(np.log1p(k ** (-s))))
     log_tail = 0.0
     for j in range(1, 80):
-        term = (-1.0) ** (j + 1) * float(zeta(j * s, head_terms + 1)) / j
+        term = (-1.0) ** (j + 1) * zeta(j * s, head_terms + 1.0) / j
         log_tail += term
         if abs(term) < 1e-18:
             break

@@ -3,6 +3,10 @@
 failing verdict), never output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,21 @@ def test_overflow_is_not_written_as_nonstandard_json(tmp_path, capsys):
     src.write_text(samples(values='[{"re":1e308,"im":0},{"re":1e308,"im":0}]'))
     assert_input_error(main(["expand", "--in", str(src), "--out", str(out)]), capsys)
     assert not out.exists()
+
+
+def test_overflow_is_one_error_line_in_a_fresh_process(tmp_path):
+    # a fresh interpreter with default warning filters: numpy's overflow
+    # warnings would reach stderr there
+    src = tmp_path / "f.json"
+    src.write_text(samples(values='[{"re":1e308,"im":0},{"re":1e308,"im":0}]'))
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "martfock.cli", "expand", "--in", str(src)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 def test_well_formed_numbers_still_load(tmp_path, capsys):

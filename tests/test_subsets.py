@@ -17,6 +17,7 @@ from martfock.subsets import (
     weight_vector,
     weighted_series,
     weighted_series_product,
+    zeta,
 )
 
 masks_5 = st.integers(min_value=0, max_value=63)  # subsets of {0..5}
@@ -211,3 +212,36 @@ class TestFullSeries:
         assert full_series(1.5, head_terms=500) == pytest.approx(
             full_series(1.5, head_terms=4000), rel=1e-12
         )
+
+
+class TestZeta:
+    def test_matches_mpmath(self):
+        # a = 1 serves series_upper_bound, a = 2001 the tail of full_series
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):  # at 80 digits mpmath itself misses near s = 78
+            for s in [1.01, 1.5, 2, 3, 7.5, 40, 80]:
+                for a in [1, 2.5, 2001, 1e4]:
+                    exact = mpmath.zeta(s, a)
+                    if exact < 1e-300:
+                        continue
+                    assert abs(zeta(s, a) - exact) <= math.ulp(float(exact)), (s, a)
+
+    def test_closed_forms_keep_recorded_values(self):
+        # bit patterns recorded from scipy.special.zeta, which these replaced
+        recorded = {
+            1.5: ("0x1.266dc86187dfep+3", "0x1.b4345c7065e08p+3"),
+            2: ("0x1.d689b8914de4dp+1", "0x1.4b9011d932a70p+2"),
+            3: ("0x1.36ceec50c5d92p+1", "0x1.a9d9997964a31p+1"),
+            7.5: ("0x1.017df8796921cp+1", "0x1.5df92d11c8dccp+1"),
+            40: ("0x1.0000000001000p+1", "0x1.5bf0a8b146d28p+1"),
+        }
+        for s, (full, bound) in recorded.items():
+            assert full_series(s).hex() == full, s
+            assert series_upper_bound(s).hex() == bound, s
+        assert full_series(1.01).hex() == "0x1.3732929e34e52p+144"
+
+    def test_huge_exponents(self):
+        # the Bernoulli corrections underflow instead of forming 0 * inf
+        for s in [1000.0, 1e300, math.inf]:
+            assert zeta(s) == 1.0
+            assert series_upper_bound(s) == math.e

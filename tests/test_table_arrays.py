@@ -128,6 +128,27 @@ def test_restricted_and_evaluate(table, max_index, probes):
 
 
 @settings(max_examples=200)
+@given(tables, st.integers(0, 6))
+def test_restricted_equals_the_dense_route(table, max_index):
+    # the dense route: the whole-domain vector, then its nonzero entries
+    phi, domain = FockCoefficients(table), TruncatedDomain(max_index)
+    got = phi.restricted(domain)
+    want = FockCoefficients.from_vector(phi.values_on(domain), max_index)
+    assert repr(got) == repr(want)
+    assert got._masks.tolist() == want._masks.tolist()
+    assert list(map(repr, got._values.tolist())) == list(map(repr, want._values.tolist()))
+    assert got.support_bound == want.support_bound
+
+
+def test_restricted_to_the_widest_domain_keeps_every_nonzero():
+    table = {FiniteSubset(m): v for m, v in
+             [(0, 1.0), (5, -0.0), (1 << 40, complex(math.nan, 0.0)), (TOP, 2j), (3, 0.0)]}
+    phi = FockCoefficients(table)
+    same(phi.restricted(TruncatedDomain(63, guard=63)),
+         DictTable(table).restricted(TruncatedDomain(63)))
+
+
+@settings(max_examples=200)
 @given(tables, st.one_of(st.none(), st.integers(0, 70)))
 def test_json_round_trip(table, bound):
     oracle = DictTable(table)
