@@ -115,22 +115,31 @@ def cmd_martingale_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _write_diagnostics_csv(path: str, diagnostics, max_index: int) -> None:
+    """The rows csv.writer writes, one string per block of masks: a sigma cell
+    is json.dumps of the element list, quoted once it holds a comma."""
+    rows = zip(diagnostics.stabilization_index.tolist(), diagnostics.sup_abs.tolist(),
+               diagnostics.certificate_margin.tolist())
+    with open(path, "w", newline="") as handle:
+        handle.write("sigma,stabilization_index,sup_abs,certificate_margin\r\n")
+        handle.write("[],%d,%.17g,%.17g\r\n" % next(rows))
+        # Masks in [2^k, 2^(k+1)) are the masks below 2^k with k added.
+        elements = [""]
+        for k in map(str, range(max_index + 1)):
+            block = [k] + [s + ", " + k for s in elements[1:]]
+            elements += block
+            handle.write("".join([
+                ('"[%s]",%d,%.17g,%.17g\r\n' if "," in s else "[%s],%d,%.17g,%.17g\r\n")
+                % (s, *row) for s, row in zip(block, rows)]))
+
+
 def cmd_converge(args) -> int:
     seq = FunctionalSequence.from_json_dict(_load_json(args.input))
     domain = _sequence_domain(seq, args.horizon)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
     _dump_json(verdict.to_json_dict(), args.out)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sigma", "stabilization_index", "sup_abs",
-                             "certificate_margin"])
-            for row in verdict.diagnostics:
-                # The cell json.dumps writes for an int list: "[0, 2]".
-                writer.writerow(["[" + ", ".join(map(str, row.sigma.elements)) + "]",
-                                 row.stabilization_index,
-                                 f"{row.sup_abs:.17g}",
-                                 f"{row.certificate_margin:.17g}"])
+        _write_diagnostics_csv(args.csv, verdict.diagnostics, domain.max_index)
     return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL
 
 

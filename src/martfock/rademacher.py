@@ -115,12 +115,15 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (self-inverse up to 1/size).
 
     Output index s holds sum over m of (-1)^popcount(s & m) * values[m].
-    Raises ValueError when a butterfly overflows float64 or forms inf - inf.
+    Raises ValueError on a non-finite input and when a butterfly overflows
+    float64.
     """
     v = np.array(values, dtype=np.complex128)
     n = v.size
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
+    if not np.isfinite(v.view(np.float64)).all():  # real and imaginary parts
+        raise ValueError("Walsh-Hadamard transform input holds a non-finite value")
     h = 1
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -11,8 +11,9 @@ reduces to a uniform growth bound on the coefficients.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -96,6 +97,29 @@ class SigmaDiagnostic:
     certificate_margin: float
 
 
+class SigmaDiagnostics(Sequence):
+    """Read-only view of the per-subset rows as three columns; the row at
+    position m is the subset with bitmask m.  Rows are built when asked for."""
+
+    def __init__(self, stabilization_index: np.ndarray, sup_abs: np.ndarray,
+                 certificate_margin: np.ndarray):
+        for column in (stabilization_index, sup_abs, certificate_margin):
+            column.flags.writeable = False
+        self.stabilization_index = stabilization_index
+        self.sup_abs = sup_abs
+        self.certificate_margin = certificate_margin
+
+    def __len__(self) -> int:
+        return self.sup_abs.size
+
+    def __getitem__(self, index):
+        m = range(len(self))[index]  # IndexError, negative indices and slices
+        if isinstance(m, range):
+            return tuple(map(self.__getitem__, m))
+        return SigmaDiagnostic(FiniteSubset(m), int(self.stabilization_index[m]),
+                               float(self.sup_abs[m]), float(self.certificate_margin[m]))
+
+
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     status: ConvergenceStatus
@@ -103,7 +127,7 @@ class ConvergenceVerdict:
     uniform_certificate: Optional[GrowthCertificate] = None
     witness: Optional[tuple[FiniteSubset, str]] = None
     tail_start: int = 0
-    diagnostics: tuple[SigmaDiagnostic, ...] = field(default=(), repr=False)
+    diagnostics: Sequence[SigmaDiagnostic] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.status is ConvergenceStatus.CONVERGED:
@@ -202,17 +226,10 @@ def strong_convergence_test(
     sup_abs = np.abs(values).max(axis=0)
     stab = _stabilization_indices(values, tol)
 
-    def _diagnostics(cert: Optional[GrowthCertificate]) -> tuple[SigmaDiagnostic, ...]:
-        margins = (
-            cert.bound_at(weights) - sup_abs
-            if cert is not None
-            else np.full_like(sup_abs, np.nan)
-        )
-        return tuple(
-            SigmaDiagnostic(FiniteSubset(int(m)), int(stab[m]),
-                            float(sup_abs[m]), float(margins[m]))
-            for m in range(domain.size)
-        )
+    def _diagnostics(cert: Optional[GrowthCertificate]) -> SigmaDiagnostics:
+        margins = (cert.bound_at(weights) - sup_abs if cert is not None
+                   else np.full_like(sup_abs, np.nan))
+        return SigmaDiagnostics(stab, sup_abs, margins)
 
     if domain.max_index <= k_last and _martingale_witness(values, tol) is None:
         # Martingale coefficients stabilize structurally, at n = max(sigma).
@@ -241,23 +258,21 @@ def strong_convergence_test(
     head_sup = np.abs(values[: tail_start + 1]).max(axis=0)
     head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
     tail_abs = np.abs(values[tail_start:])
-    for m in np.nonzero(stab > tail_start)[0]:
-        col = tail_abs[:, m]
-        if not np.all(np.diff(col) > 0):
-            continue
-        margins = [col[-1] - c * weights[m] ** p for p, c in head_curve.items()]
-        growing = all(
-            col[-1] - c * weights[m] ** p > col[-2] - c * weights[m] ** p
-            for p, c in head_curve.items()
+    last, before = tail_abs[-1], tail_abs[-2]
+    grows = (stab > tail_start) & np.all(np.diff(tail_abs, axis=0) > 0, axis=0)
+    for p, c in head_curve.items():
+        # float_power takes libm's pow for every element, as a scalar ** does;
+        # an array ** may take a SIMD pow that differs in the last bit.
+        bound = c * np.float_power(weights, p)
+        grows &= (last - bound > 0) & (last - bound > before - bound)
+    if grows.any():
+        return ConvergenceVerdict(
+            ConvergenceStatus.DIVERGED,
+            witness=(FiniteSubset(int(np.argmax(grows))),
+                     "coefficient magnitudes grow past every fitted bound"),
+            tail_start=tail_start,
+            diagnostics=_diagnostics(None),
         )
-        if min(margins) > 0 and growing:
-            return ConvergenceVerdict(
-                ConvergenceStatus.DIVERGED,
-                witness=(FiniteSubset(int(m)),
-                         "coefficient magnitudes grow past every fitted bound"),
-                tail_start=tail_start,
-                diagnostics=_diagnostics(None),
-            )
     return ConvergenceVerdict(
         ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
         diagnostics=_diagnostics(None),

@@ -207,7 +207,7 @@ def weighted_series(p: float, domain: TruncatedDomain) -> float:
     exp(zeta(p)); for 0 < p <= 1 the truncated sum is still returned but no
     bound holds.
     """
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise InvalidExponentError(f"series exponent must be positive, got {p}")
     return float(np.sum(weight_vector(domain) ** (-float(p))))
 
@@ -217,7 +217,7 @@ def weighted_series_product(p: float, max_index: int) -> float:
 
     Independent of enumeration; used to cross-check weighted_series.
     """
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise InvalidExponentError(f"series exponent must be positive, got {p}")
     return math.prod(1.0 + k ** (-float(p)) for k in range(1, max_index + 2))
 

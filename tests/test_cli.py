@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from martfock.cli import main
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
 from martfock.functionals import FockCoefficients
 from martfock.rademacher import RandomFunctional, SampleSpace, constant, random_functional
-from martfock.sequences import FunctionalSequence
+from martfock.sequences import FunctionalSequence, strong_convergence_test
 from martfock.subsets import FiniteSubset, TruncatedDomain
 
 
@@ -54,6 +56,20 @@ class TestSeries:
     def test_no_bound_mode(self, capsys):
         assert main(["series", "--p", "0.8", "--horizon", "4"]) == 0
         assert "no-bound mode" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", ["nan", "0", "-1"])
+    def test_exponent_not_positive_is_input_error(self, p, capsys):
+        assert main(["series", "--p", p, "--horizon", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: series exponent must be positive")
+
+    def test_infinite_exponent(self, capsys):
+        assert main(["series", "--p", "inf", "--horizon", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "truncated_sum 2", "factorized_oracle 2", "bound 2.7182818284590451",
+            "verdict PASS"]
 
 
 class TestExpandSynthesize:
@@ -137,6 +153,64 @@ class TestConverge:
         # each written exactly as json.dumps writes the subset's array.
         assert [r["sigma"] for r in rows] == [
             json.dumps(FiniteSubset(m).to_json()) for m in range(128)]
+
+    # Per template, coefficients {mask: value} of a truncation martingale or
+    # of every term of a table sequence; each is cut to the domain.
+    CSV_TEMPLATES = {
+        # CONVERGED with order 1: the margin at mask 4 is -1.8e-15.
+        "negative-margin": ("martingale", {4: 10.1, 7: 15.15, 1: 5e-324, 2: 0.5j}),
+        # CONVERGED with infinite margins where scale * weight overflows.
+        "huge": ("martingale", {4: 1e308, 7: 1.5e308, 1: 5e-324, 3: -2.0}),
+        "diverged": ("terms", lambda n: {0: float((n + 1) ** 3), 1: 5e-324, 3: 1e308}),
+        "inconclusive": ("terms", lambda n: {0: 1.0 + 0.5 * (-1) ** n, 2: 1e308}),
+    }
+
+    @staticmethod
+    def csv_reference(rows) -> bytes:
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["sigma", "stabilization_index", "sup_abs", "certificate_margin"])
+        for row in rows:
+            writer.writerow([json.dumps(row.sigma.to_json()), row.stabilization_index,
+                             "%.17g" % row.sup_abs, "%.17g" % row.certificate_margin])
+        return buffer.getvalue().encode()
+
+    # bound_at overflows to inf on the "huge" template (see CHANGES.md).
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        statuses, margins = set(), []
+        for max_index in range(7):
+            for name, (kind, coefficients) in self.CSV_TEMPLATES.items():
+                if kind == "martingale":
+                    phi = FockCoefficients({FiniteSubset(m): v for m, v in
+                                            coefficients.items() if m < 2 << max_index})
+                    seq = approximation_sequence(phi, max(max_index, 2))
+                else:
+                    seq = FunctionalSequence([
+                        FockCoefficients({FiniteSubset(m): v for m, v in
+                                          coefficients(n).items() if m < 2 << max_index},
+                                         support_bound=max_index)
+                        for n in range(12)])
+                data = seq.to_json_dict()
+                top = list(range(max_index + 1))
+                for term in data["terms"]:  # an explicit -0.0 at the top mask
+                    if (term["support_bound"] == max_index
+                            and all(row["sigma"] != top for row in term["coefficients"])):
+                        term["coefficients"].append({"sigma": top, "re": -0.0, "im": -0.0})
+                src, out, csv_path = (tmp_path / f"{name}{max_index}.{ext}"
+                                      for ext in ("json", "out.json", "csv"))
+                write_json(src, data)
+                code = main(["converge", "--in", str(src), "--horizon", str(max_index),
+                             "--out", str(out), "--csv", str(csv_path)])
+                verdict = strong_convergence_test(
+                    FunctionalSequence.from_json_dict(data), TruncatedDomain(max_index))
+                assert code == (0 if verdict.status.value == "CONVERGED" else 1)
+                assert csv_path.read_bytes() == self.csv_reference(verdict.diagnostics)
+                statuses.add(verdict.status.value)
+                margins.extend(verdict.diagnostics.certificate_margin.tolist())
+        assert statuses == {"CONVERGED", "DIVERGED", "INCONCLUSIVE"}
+        assert any(m < 0 for m in margins) and any(m > 0 for m in margins)
+        assert any(math.isnan(m) for m in margins) and math.inf in margins
 
     def test_diverging_sequence(self, tmp_path, capsys):
         terms = [FockCoefficients({FiniteSubset(0): float(n)}, support_bound=2)

@@ -121,6 +121,27 @@ class TestFwht:
         with pytest.raises(ValueError):
             fwht(np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf),
+                                     complex(np.nan, 0)])
+    def test_non_finite_input_rejected(self, bad):
+        v = np.ones(8, dtype=complex)
+        v[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fwht(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            fwht(np.array([bad, 1.0]))
+
+    def test_non_finite_rejected_by_every_caller(self):
+        sp = SampleSpace(2)
+        for bad in (np.inf, np.nan):
+            f = RandomFunctional(sp, np.where(np.arange(sp.size) == 3, bad, 1.0))
+            for call in (lambda: chaos_expand(f), lambda: conditional_expectation(f, 0)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call()
+            c = FockCoefficients({FiniteSubset(2): bad}, support_bound=1)
+            with pytest.raises(ValueError, match="non-finite"):
+                synthesize(c, sp)
+
 
 class TestChaosExpansion:
     def test_product_coordinate_pair(self):

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
-from martfock.functionals import FockCoefficients
+from martfock.functionals import FockCoefficients, fit_growth_values
 from martfock.rademacher import (
     SampleSpace,
     chaos_expand,
@@ -16,6 +19,7 @@ from martfock.sequences import (
     FunctionalSequence,
     InsufficientLengthError,
     NotAMartingaleError,
+    SigmaDiagnostic,
     classical_to_sequence,
     is_generalized_martingale,
     martingale_limit,
@@ -23,7 +27,13 @@ from martfock.sequences import (
     _stabilization_indices,
     uniform_boundedness,
 )
-from martfock.subsets import DomainTooLargeError, FiniteSubset, TruncatedDomain, weight
+from martfock.subsets import (
+    DomainTooLargeError,
+    FiniteSubset,
+    TruncatedDomain,
+    weight,
+    weight_vector,
+)
 
 
 def indicator_sequence(k):
@@ -228,6 +238,199 @@ def test_verdict_branches_pinned(case):
         [(s.mask, repr(v)) for s, v in verdict.limit.table_items()])
     assert got_limit == limit
     assert len(verdict.diagnostics) == 1 << (max_index + 1)
+
+
+# The per-subset row builder and the per-candidate divergence loop that
+# strong_convergence_test replaced with columns and whole-array comparisons,
+# kept as references.
+def reference_rows(seq, domain, tol, cert):
+    values = seq.values_matrix(domain)
+    weights = weight_vector(domain)
+    sup_abs = np.abs(values).max(axis=0)
+    stab = per_column_stabilization(values, tol)
+    margins = (cert.bound_at(weights) - sup_abs if cert is not None
+               else np.full_like(sup_abs, np.nan))
+    return tuple(
+        SigmaDiagnostic(FiniteSubset(int(m)), int(stab[m]),
+                        float(sup_abs[m]), float(margins[m]))
+        for m in range(domain.size)
+    )
+
+
+def reference_verdict(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
+    """(status, witness mask or None, tail_start) by the old branch logic."""
+    k_last = len(seq) - 1
+    values = seq.values_matrix(domain)
+    weights = weight_vector(domain)
+    stab = per_column_stabilization(values, tol)
+    if domain.max_index <= k_last and is_generalized_martingale(seq, domain, tol)[0]:
+        tail_start, settled = domain.max_index, True
+    else:
+        tail_start = k_last - max(2, len(seq) // 3)
+        settled = bool(np.all(stab <= tail_start))
+    if settled:
+        _, cert = fit_growth_values(np.abs(values).max(axis=0), weights, p_grid)
+        return ("INCONCLUSIVE" if cert is None else "CONVERGED"), None, tail_start
+    head_sup = np.abs(values[: tail_start + 1]).max(axis=0)
+    head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
+    tail_abs = np.abs(values[tail_start:])
+    for m in np.nonzero(stab > tail_start)[0]:
+        col = tail_abs[:, m]
+        if not np.all(np.diff(col) > 0):
+            continue
+        margins = [col[-1] - c * weights[m] ** p for p, c in head_curve.items()]
+        growing = all(
+            col[-1] - c * weights[m] ** p > col[-2] - c * weights[m] ** p
+            for p, c in head_curve.items()
+        )
+        if min(margins) > 0 and growing:
+            return "DIVERGED", int(m), tail_start
+    return "INCONCLUSIVE", None, tail_start
+
+
+def row_fields(rows):
+    return [(r.sigma.mask, r.stabilization_index, repr(r.sup_abs),
+             repr(r.certificate_margin)) for r in rows]
+
+
+def assert_matches_references(seq, domain, tol=1e-9):
+    verdict = strong_convergence_test(seq, domain, tol)
+    status, witness, tail_start = reference_verdict(seq, domain, tol)
+    assert verdict.status.value == status
+    assert (verdict.witness and verdict.witness[0].mask) == witness
+    assert verdict.tail_start == tail_start
+    expected = row_fields(reference_rows(seq, domain, tol, verdict.uniform_certificate))
+    view = verdict.diagnostics
+    assert row_fields(view) == expected
+    assert row_fields(view[m] for m in range(len(view))) == expected
+    return verdict
+
+
+def growth_sequence(head, tails):
+    """One term per row; column m holds head[m] up to term 7 and tails[m] in
+    terms 8..11 (tail_start is 7 for twelve terms)."""
+    return table_sequence(
+        [dict(enumerate(head))] * 8
+        + [{m: t[n] for m, t in enumerate(tails)} for n in range(4)])
+
+
+# Masks 1..3 grow to exactly the head maximum 16 at mask 0: every candidate
+# ties its p = 0 bound, so the scan finds none.
+TIED_SCAN = growth_sequence([16.0, 1.0, 1.0, 1.0],
+                            [[0.0] * 4] + [[2.0, 4.0, 8.0, 16.0]] * 3)
+# Masks 1 and 2 tie; mask 3 grows past 16 and is the smallest qualifying mask.
+LATE_WITNESS = growth_sequence([16.0, 1.0, 1.0, 1.0],
+                               [[0.0] * 4] + [[2.0, 4.0, 8.0, 16.0]] * 2
+                               + [[2.0, 4.0, 8.0, 500.0]])
+
+
+@st.composite
+def generated_sequences(draw):
+    """Sequences over a small domain that reach every branch: truncation
+    martingales, and table sequences of growing, constant, settling and
+    arbitrary columns from a few dyadic magnitudes, so that stabilisation
+    steps, bounds and margins tie often."""
+    max_index = draw(st.integers(0, 3))
+    length = draw(st.integers(3, 12))
+    magnitudes = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 16.0])
+    shape = draw(st.sampled_from(["martingale", "settled", "mixed"]))
+    if shape == "martingale":
+        phi = {FiniteSubset(m): v for m in range(2 << max_index)
+               if (v := draw(magnitudes) * draw(st.sampled_from([1.0, -1j])))}
+        return (approximation_sequence(FockCoefficients(phi), length - 1),
+                TruncatedDomain(max_index))
+    kinds = ["constant", "settle"] + (["grow", "any"] if shape == "mixed" else [])
+    columns = []
+    for _ in range(2 << max_index):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "grow":
+            steps = draw(st.lists(st.sampled_from([1.0, 2.0, 8.0]),
+                                  min_size=length, max_size=length))
+            columns.append(np.cumsum(steps) * draw(st.sampled_from([1.0, -1.0, 1j])))
+        elif kind == "constant":
+            columns.append(np.full(length, draw(magnitudes)))
+        else:
+            cut = draw(st.integers(0, length)) if kind == "settle" else length
+            column = draw(st.lists(magnitudes, min_size=length, max_size=length))
+            columns.append(np.array(column[:cut] + [column[-1]] * (length - cut)))
+    rows = np.array(columns, dtype=complex).T
+    seq = table_sequence([{m: v for m, v in enumerate(row) if v != 0} for row in rows])
+    return seq, TruncatedDomain(max_index)
+
+
+class TestColumnarDiagnostics:
+    @pytest.mark.parametrize("case", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+    def test_verdict_cases_match_references(self, case):
+        build, max_index = case[:2]
+        assert_matches_references(build(), TruncatedDomain(max_index))
+
+    @settings(max_examples=200)
+    @given(generated_sequences())
+    def test_generated_sequences_match_references(self, drawn):
+        assert_matches_references(*drawn)
+
+    def test_scan_where_every_candidate_ties(self):
+        verdict = assert_matches_references(TIED_SCAN, TruncatedDomain(1))
+        assert verdict.status is ConvergenceStatus.INCONCLUSIVE
+        assert list(verdict.diagnostics.stabilization_index) == [8, 11, 11, 11]
+        assert all(math.isnan(r.certificate_margin) for r in verdict.diagnostics)
+
+    def test_witness_is_smallest_qualifying_mask(self):
+        verdict = assert_matches_references(LATE_WITNESS, TruncatedDomain(1))
+        assert verdict.status is ConvergenceStatus.DIVERGED
+        assert verdict.witness[0] == FiniteSubset(3)
+
+    def test_growth_lost_to_rounding_is_no_witness(self):
+        # Mask 1 rises to 1.0 past the bound b = 3 * 2^-54, but 1.0 - b and
+        # (1 - 2^-53) - b round to the same double: its excess does not grow.
+        bound = 3 * 2.0 ** -54
+        seq = table_sequence([{0: bound, 1: v} for v in
+                              [0.0] * 7 + [2.0 ** -60, 0.25, 0.5, 1 - 2.0 ** -53, 1.0]])
+        verdict = assert_matches_references(seq, TruncatedDomain(0))
+        assert verdict.status is ConvergenceStatus.INCONCLUSIVE
+
+    def test_bound_rounds_as_scalar_pow(self):
+        # Mask 32750 (weight 261534873600) rises to exactly weight^2, the p = 2
+        # bound as a scalar ** gives it: a tie, not a witness.  An array **
+        # with a SIMD pow can come out one ulp lower and find one.
+        w = weight(FiniteSubset(32750))
+        seq = table_sequence([{0: 1.0, 32750: v} for v in
+                              [0.0] * 7 + [1.0, 2.0, 4.0, 8.0, w ** 2.0]])
+        verdict = assert_matches_references(seq, TruncatedDomain(14))
+        assert verdict.status is ConvergenceStatus.INCONCLUSIVE
+
+    def test_tied_margins(self):
+        # Two subsets reach the certificate scale: both margins are 0.
+        seq = FunctionalSequence([FockCoefficients(
+            {FiniteSubset(0): 3.0, FiniteSubset(1): 3.0, FiniteSubset(2): 1.0})] * 4)
+        verdict = assert_matches_references(seq, TruncatedDomain(1))
+        assert verdict.diagnostics.certificate_margin.tolist() == [0.0, 0.0, 2.0, 3.0]
+
+    def test_view_semantics(self):
+        verdict = strong_convergence_test(indicator_sequence(3), TruncatedDomain(3),
+                                          tol=0.0)
+        view = verdict.diagnostics
+        rows = reference_rows(indicator_sequence(3), TruncatedDomain(3), 0.0,
+                              verdict.uniform_certificate)
+        assert len(view) == 16
+        assert view[0] == rows[0] and view[-1] == rows[-1] == view[15]
+        assert view[-16] == rows[0]
+        for index in (16, -17):
+            with pytest.raises(IndexError):
+                view[index]
+        assert tuple(view) == rows
+        assert view[2:5] == rows[2:5] and view[::-4] == rows[::-4]
+        assert list(reversed(view)) == list(reversed(rows))
+        for column in (view.stabilization_index, view.sup_abs, view.certificate_margin):
+            assert column.shape == (16,)
+            with pytest.raises(ValueError):
+                column[0] = 7
+        swapped = list(view)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        replaced = dataclasses.replace(verdict, diagnostics=tuple(swapped))
+        assert replaced.diagnostics == tuple(swapped)
+        assert len(replaced.diagnostics) == 16
+        assert replaced.status is verdict.status
 
 
 class TestMartingaleLimit:

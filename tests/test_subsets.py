@@ -197,6 +197,13 @@ class TestWeightedSeries:
         with pytest.raises(InvalidExponentError):
             full_series(1.0)
 
+    @pytest.mark.parametrize("p", [0.0, -0.0, -1.0, float("nan"), float("-inf")])
+    def test_series_exponent_must_be_positive(self, p):
+        with pytest.raises(InvalidExponentError):
+            weighted_series(p, TruncatedDomain(2))
+        with pytest.raises(InvalidExponentError):
+            weighted_series_product(p, 2)
+
 
 class TestFullSeries:
     def test_known_value(self):
