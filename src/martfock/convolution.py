@@ -13,7 +13,7 @@ import numpy as np
 
 from .functionals import FockCoefficients, InsufficientOrderError, _product
 from .sequences import FunctionalSequence
-from .subsets import TruncatedDomain, weight_vector
+from .subsets import TruncatedDomain, mask_weights
 
 INDICATOR_MAX_LEVEL = 20
 
@@ -37,17 +37,31 @@ def all_ones() -> FockCoefficients:
     return FockCoefficients(rule=lambda s: 1.0, support_bound=None)
 
 
-def indicator_functional(n: int) -> FockCoefficients:
-    """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
+def _check_level(n: int) -> None:
     if not 0 <= n <= INDICATOR_MAX_LEVEL:
         raise ValueError(f"truncation level must lie in 0..{INDICATOR_MAX_LEVEL}, got {n}")
+
+
+def indicator_functional(n: int) -> FockCoefficients:
+    """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
+    _check_level(n)
     return FockCoefficients.from_vector(np.ones(2 << n, dtype=np.complex128), n)
 
 
 def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:
     """Truncation approximant: agrees with phi on subsets of {0,..,n} and
-    vanishes elsewhere (convolution with the level-n indicator functional)."""
-    return convolve(indicator_functional(n), phi)
+    vanishes elsewhere (convolution with the level-n indicator functional).
+
+    A table keeps the prefix of its masks inside {0,..,n}, each value
+    multiplied by 1 as the convolution multiplies it (so signed zeros round
+    the same way), with no indicator vector; a rule is convolved."""
+    _check_level(n)
+    if phi.rule is not None:
+        return convolve(indicator_functional(n), phi)
+    inside = phi._inside(TruncatedDomain(n))
+    return FockCoefficients._from_arrays(phi._masks[:inside],
+                                         _product(1.0, phi._values[:inside]),
+                                         min(n, phi.support_bound))
 
 
 def approximation_sequence(phi: FockCoefficients, levels: int) -> FunctionalSequence:
@@ -66,7 +80,9 @@ def approximation_residual(
 
     Non-increasing in n, exactly 0 once n covers the domain.  q must exceed
     the functional's growth order by more than 1/2 for the untruncated
-    residual series to converge.
+    residual series to converge.  A table's residual costs its nonzeros in
+    the domain plus one float64 per domain mask; no dense complex vector is
+    built.
     """
     return _residuals(phi, [n], q, domain)[0]
 
@@ -77,7 +93,9 @@ def residual_curve(
     q: float,
     domain: TruncatedDomain,
 ) -> list[float]:
-    """approximation_residual at every n = 0..level, from one pass."""
+    """approximation_residual at every n = 0..level, from one pass: for a
+    table, its nonzeros in the domain plus one float64 per domain mask, with
+    no dense complex vector."""
     return _residuals(phi, range(level + 1), q, domain)
 
 
@@ -85,7 +103,9 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     """Residuals at the given levels from one vector of terms
     weight^(-2q) |F|^2: the subsets outside {0,..,n} are exactly the masks
     from 2^(n+1) on, so each level sums a suffix of that vector (an empty
-    one once n >= max_index)."""
+    one once n >= max_index).  The terms are computed at phi's entries only
+    and scattered into a zeroed domain-size vector, so every suffix is summed
+    in the same order, and to the same bits, as over a dense vector."""
     if q <= 0.5:
         raise InsufficientOrderError(
             f"residual order q={q} too small; needs q > growth order + 1/2"
@@ -93,6 +113,7 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     domain._check_guard()
     if all(n >= domain.max_index for n in levels):
         return [0.0 for _ in levels]
-    values = phi.values_on(domain)
-    terms = weight_vector(domain) ** (-2.0 * q) * np.abs(values) ** 2
+    masks, values = phi._entries_on(domain)
+    terms = np.zeros(domain.size)
+    terms[masks] = mask_weights(masks, domain.max_index) ** (-2.0 * q) * np.abs(values) ** 2
     return [float(np.sqrt(np.sum(terms[1 << (n + 1):]))) for n in levels]

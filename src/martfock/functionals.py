@@ -191,6 +191,14 @@ class FockCoefficients:
         """How many table masks lie in the domain; they are a prefix."""
         return int(self._masks.searchsorted(np.uint64(domain.size - 1), side="right"))
 
+    def _entries_on(self, domain: TruncatedDomain) -> tuple[np.ndarray, np.ndarray]:
+        """int64 masks and their values, covering every nonzero coefficient
+        in the domain: a table's prefix inside it, or all of a rule's domain."""
+        if self.rule is not None:
+            return domain.masks(), self.values_on(domain)
+        inside = self._inside(domain)
+        return self._masks[:inside].astype(np.int64), self._values[:inside]
+
     def _pairs(self) -> Iterable[tuple[int, complex]]:
         """(mask, coefficient) pairs in ascending mask order: the table, or
         the memoised values of a rule."""
@@ -291,7 +299,13 @@ class GrowthCertificate:
             raise ValueError(f"certificate order must be >= 0, got {self.order}")
 
     def bound_at(self, weights: np.ndarray) -> np.ndarray:
-        return self.scale * weights ** self.order
+        """scale * weight^order at each weight; ValueError if it overflows."""
+        try:
+            with np.errstate(over="raise"):
+                return self.scale * weights ** self.order
+        except FloatingPointError:
+            raise ValueError(f"growth bound {self.scale!r} * weight^{self.order!r} "
+                             "overflows the float range") from None
 
 
 def sobolev_norm(phi: FockCoefficients, p: float, domain: TruncatedDomain) -> float:

@@ -200,6 +200,21 @@ def weight_vector(domain: TruncatedDomain) -> np.ndarray:
     return w
 
 
+def mask_weights(masks: np.ndarray, max_index: int) -> np.ndarray:
+    """weight_vector(TruncatedDomain(max_index))[masks], bit for bit, without
+    the whole-domain vector (masks: int64, each below 2^(max_index+1)).
+
+    The low 16 bits index a weight_vector of at most 2^16 entries; each higher
+    bit k then multiplies in (k+1), in ascending k.  That is the product order
+    of weight_vector's doubling, so every weight rounds the same way.
+    """
+    low = min(max_index, 15)
+    w = weight_vector(TruncatedDomain(low))[masks & ((2 << low) - 1)]
+    for k in range(low + 1, max_index + 1):
+        w *= np.where(masks >> k & 1, k + 1.0, 1.0)
+    return w
+
+
 def weighted_series(p: float, domain: TruncatedDomain) -> float:
     """Sum of weight^(-p) over the domain, by direct enumeration.
 

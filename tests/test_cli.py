@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestConverge:
     CSV_TEMPLATES = {
         # CONVERGED with order 1: the margin at mask 4 is -1.8e-15.
         "negative-margin": ("martingale", {4: 10.1, 7: 15.15, 1: 5e-324, 2: 0.5j}),
-        # CONVERGED with infinite margins where scale * weight overflows.
+        # At max_index 2 the order-1 bound scale * weight overflows: exit 2.
         "huge": ("martingale", {4: 1e308, 7: 1.5e308, 1: 5e-324, 3: -2.0}),
         "diverged": ("terms", lambda n: {0: float((n + 1) ** 3), 1: 5e-324, 3: 1e308}),
         "inconclusive": ("terms", lambda n: {0: 1.0 + 0.5 * (-1) ** n, 2: 1e308}),
@@ -175,10 +176,11 @@ class TestConverge:
                              "%.17g" % row.sup_abs, "%.17g" % row.certificate_margin])
         return buffer.getvalue().encode()
 
-    # bound_at overflows to inf on the "huge" template (see CHANGES.md).
+    # The divergence scan's bound c * weight^p overflows to inf on the
+    # templates holding 1e308 (see CHANGES.md).
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        statuses, margins = set(), []
+        statuses, margins, overflowed = set(), [], []
         for max_index in range(7):
             for name, (kind, coefficients) in self.CSV_TEMPLATES.items():
                 if kind == "martingale":
@@ -202,15 +204,23 @@ class TestConverge:
                 write_json(src, data)
                 code = main(["converge", "--in", str(src), "--horizon", str(max_index),
                              "--out", str(out), "--csv", str(csv_path)])
-                verdict = strong_convergence_test(
-                    FunctionalSequence.from_json_dict(data), TruncatedDomain(max_index))
+                try:
+                    verdict = strong_convergence_test(
+                        FunctionalSequence.from_json_dict(data), TruncatedDomain(max_index))
+                except ValueError as exc:
+                    assert "overflows" in str(exc)
+                    assert code == 2 and not out.exists() and not csv_path.exists()
+                    overflowed.append((name, max_index))
+                    continue
                 assert code == (0 if verdict.status.value == "CONVERGED" else 1)
                 assert csv_path.read_bytes() == self.csv_reference(verdict.diagnostics)
                 statuses.add(verdict.status.value)
                 margins.extend(verdict.diagnostics.certificate_margin.tolist())
         assert statuses == {"CONVERGED", "DIVERGED", "INCONCLUSIVE"}
         assert any(m < 0 for m in margins) and any(m > 0 for m in margins)
-        assert any(math.isnan(m) for m in margins) and math.inf in margins
+        assert all(math.isfinite(m) or math.isnan(m) for m in margins)
+        assert any(math.isnan(m) for m in margins)
+        assert overflowed == [("huge", 2)]
 
     def test_diverging_sequence(self, tmp_path, capsys):
         terms = [FockCoefficients({FiniteSubset(0): float(n)}, support_bound=2)
@@ -221,6 +231,20 @@ class TestConverge:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["status"] == "DIVERGED"
         assert verdict["witness"]["sigma"] == []
+
+    def test_overflowing_growth_bound_is_one_error_line(self, tmp_path, capsys):
+        phi = FockCoefficients({FiniteSubset.from_elements([2]): 1e308,
+                                FiniteSubset.from_elements([0, 1, 2]): 1.5e308})
+        src, csv_path = tmp_path / "seq.json", tmp_path / "diag.csv"
+        write_json(src, approximation_sequence(phi, 4).to_json_dict())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["converge", "--in", str(src), "--csv", str(csv_path)])
+        assert code == 2 and caught == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv_path.exists()
+        assert captured.err.startswith("error: growth bound ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 class TestApprox:
@@ -245,6 +269,14 @@ class TestApprox:
         assert main(["approx", "--in", str(src), "--n", "2", "--out", str(out)]) == 0
         approx = FockCoefficients.from_json_dict(json.loads(out.read_text()))
         assert approx.equal_on(phi, TruncatedDomain(2), tol=0.0)
+
+    def test_level_above_indicator_limit_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "phi.json"
+        write_json(src, FockCoefficients({FiniteSubset(5): 1.0}).to_json_dict())
+        assert main(["approx", "--in", str(src), "--n", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: truncation level must lie in 0..20, got 21\n"
 
     def test_single_coefficient_residual_hits_zero(self, tmp_path):
         phi = FockCoefficients({FiniteSubset.from_elements([3]): 1.0})

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from martfock.convolution import (
+    INDICATOR_MAX_LEVEL,
     all_ones,
     approximate,
     approximation_residual,
@@ -22,7 +24,13 @@ from martfock.functionals import (
     verify_certificate,
 )
 from martfock.sequences import is_generalized_martingale
-from martfock.subsets import FiniteSubset, TruncatedDomain, weight, weight_vector
+from martfock.subsets import (
+    DomainTooLargeError,
+    FiniteSubset,
+    TruncatedDomain,
+    weight,
+    weight_vector,
+)
 
 
 coeff_tables = st.dictionaries(
@@ -34,6 +42,15 @@ coeff_tables = st.dictionaries(
 
 def from_masks(table):
     return FockCoefficients({FiniteSubset(m): v for m, v in table.items()})
+
+
+# Real and imaginary parts that exercise signed zeros and the float range.
+signed_parts = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -1e308])
+signed_tables = st.dictionaries(
+    st.integers(min_value=0, max_value=15) | st.integers(min_value=0, max_value=(1 << 22) - 1),
+    st.builds(complex, signed_parts, signed_parts),
+    max_size=12,
+)
 
 
 class TestConvolve:
@@ -141,6 +158,51 @@ class TestApproximate:
         ok, _ = is_generalized_martingale(seq, TruncatedDomain(6), tol=0.0)
         assert ok
 
+    @staticmethod
+    def assert_same_table(got, want):
+        assert got.rule is None and want.rule is None
+        assert got.support_bound == want.support_bound
+        assert got._masks.dtype == want._masks.dtype == np.uint64
+        assert got._values.dtype == want._values.dtype == np.complex128
+        assert got._masks.tolist() == want._masks.tolist()
+        assert repr(got._values.tolist()) == repr(want._values.tolist())
+        assert repr(list(got.table_items())) == repr(list(want.table_items()))
+
+    @given(signed_tables, st.integers(min_value=0, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_table_prefix_equals_indicator_convolution(self, table, n):
+        phi = from_masks(table)
+        self.assert_same_table(approximate(phi, n), convolve(indicator_functional(n), phi))
+
+    def test_table_prefix_at_the_level_limits(self):
+        parts = (0.0, -0.0, 3.0, -1.0)
+        table = {m: complex(parts[m % 4], parts[m // 4 % 4])
+                 for m in (0, 1, 2, 3, 5, 9, 12, 13, 15, (1 << 20) | 7, (1 << 21) - 1, 1 << 21,
+                           1 << 30)}
+        phi = from_masks(table)
+        small = from_masks({m: v for m, v in table.items() if m < 16})
+        for psi, n in ((phi, 0), (phi, 19), (phi, INDICATOR_MAX_LEVEL), (small, 0),
+                       (small, 3), (small, 9), (small, INDICATOR_MAX_LEVEL)):
+            got = approximate(psi, n)
+            self.assert_same_table(got, convolve(indicator_functional(n), psi))
+            assert got.support_bound == min(n, psi.support_bound)
+        # The real part -0.0 * 1 - 0 * im is -0.0 for im = 3 but +0.0 for im = -1.
+        assert repr(phi.evaluate(FiniteSubset(13))) == "(-0-1j)"
+        assert repr(approximate(phi, 3).evaluate(FiniteSubset(9))) == "(-0+3j)"
+        assert repr(approximate(phi, 3).evaluate(FiniteSubset(13))) == "-1j"
+
+    def test_level_outside_range_is_refused(self):
+        for phi in (from_masks({0: 1.0}), all_ones()):
+            for n in (-1, INDICATOR_MAX_LEVEL + 1):
+                with pytest.raises(ValueError, match=r"truncation level must lie in 0\.\.20"):
+                    approximate(phi, n)
+
+    def test_rule_keeps_the_convolution(self):
+        approx = approximate(FockCoefficients.from_rule(lambda s: weight(s) - 1j), 2)
+        assert approx.rule is not None and approx.support_bound == 2
+        assert approx.evaluate(FiniteSubset.from_elements([1, 2])) == 6 - 1j
+        assert approx.evaluate(FiniteSubset.from_elements([3])) == 0
+
     def test_fitted_bound_never_exceeds_source_certificate(self):
         d = TruncatedDomain(6)
         w = weight_vector(d)
@@ -186,14 +248,19 @@ class TestApproximationResidual:
             approximation_residual(all_ones(), 2, 0.4, TruncatedDomain(3))
 
 
+@functools.lru_cache(maxsize=1)
+def dense_arrays(phi, domain):
+    """The masks, coefficients and weights of the whole domain."""
+    return domain.masks(), phi.values_on(domain), weight_vector(domain)
+
+
 def boolean_mask_residual(phi, n, q, domain):
-    """Reference: the residual as a boolean-indexed sum outside {0..n}."""
-    masks = domain.masks()
+    """Reference: the residual as a boolean-indexed sum outside {0..n}, over
+    dense vectors of the whole domain."""
+    masks, values, w = dense_arrays(phi, domain)
     outside = masks >= (1 << (n + 1))
     if not outside.any():
         return 0.0
-    values = phi.values_on(domain)
-    w = weight_vector(domain)
     total = np.sum((w[outside] ** (-2.0 * q)) * np.abs(values[outside]) ** 2)
     return float(np.sqrt(total))
 
@@ -209,6 +276,18 @@ def residual_inputs():
         yield table, d
         if horizon <= 8:  # the rule evaluates subset by subset
             yield all_ones(), d
+    # Past 2^16 masks mask_weights multiplies in the high bits.  The counts
+    # are not multiples of a SIMD width; some keys lie outside the domain,
+    # and some values are explicit (signed) zeros.
+    for horizon, count in ((16, 77), (17, 1003), (18, 301), (19, 4099), (20, 2047)):
+        d = TruncatedDomain(horizon)
+        masks = rng.choice(d.size, size=count, replace=False)
+        values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        values[:3] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        table = {FiniteSubset(int(m)): complex(v) for m, v in zip(masks, values)}
+        for m in rng.integers(d.size, 1 << 40, size=5):
+            table[FiniteSubset(int(m))] = 1e10 + 0j
+        yield FockCoefficients(table), d
 
 
 class TestResidualCurve:
@@ -221,7 +300,8 @@ class TestResidualCurve:
             for n, got in enumerate(curve):
                 assert type(got) is float
                 assert got == approximation_residual(phi, n, q, d)
-                assert got == boolean_mask_residual(phi, n, q, d)
+                if d.max_index < 16 or n % 4 == 0 or n >= d.max_index - 1:
+                    assert got == boolean_mask_residual(phi, n, q, d)
 
     def test_levels_covering_the_domain_are_exact_zero(self):
         d = TruncatedDomain(4)
@@ -232,6 +312,33 @@ class TestResidualCurve:
         assert curve[4:] == [0.0] * 4
         assert residual_curve(all_ones(), 3, 1.0, TruncatedDomain(2))[2:] == [0.0, 0.0]
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_tables_bitwise_equal_to_dense_formula(self, data):
+        horizon = data.draw(st.integers(min_value=0, max_value=17))
+        masks = st.integers(min_value=0, max_value=(8 << horizon) - 1)
+        parts = (st.floats(min_value=-1e100, max_value=1e100)
+                 | st.sampled_from([0.0, -0.0, 5e-324]))
+        table = data.draw(st.dictionaries(masks, st.builds(complex, parts, parts),
+                                          max_size=40))
+        q = data.draw(st.floats(min_value=0.5, max_value=6.0, exclude_min=True))
+        phi, d = from_masks(table), TruncatedDomain(horizon)
+        curve = residual_curve(phi, horizon + 1, q, d)
+        for n, got in enumerate(curve):
+            assert got == approximation_residual(phi, n, q, d)
+            assert got == boolean_mask_residual(phi, n, q, d)
+
     def test_order_checked_first(self):
         with pytest.raises(InsufficientOrderError):
             residual_curve(all_ones(), 2, 0.5, TruncatedDomain(31))
+
+    def test_guard_checked_before_allocating(self):
+        # The small case first: without a guard it fails cheaply instead of
+        # going on to the 2^32-entry request.
+        table = from_masks({3: 1.0, 1 << 31: 2.0})
+        for domain in (TruncatedDomain(4, guard=3), TruncatedDomain(31)):
+            for phi in (all_ones(), table):
+                with pytest.raises(DomainTooLargeError):
+                    residual_curve(phi, 2, 1.0, domain)
+                with pytest.raises(DomainTooLargeError):
+                    approximation_residual(phi, 2, 1.0, domain)

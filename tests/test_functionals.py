@@ -295,3 +295,12 @@ class TestGrowthCertificates:
             GrowthCertificate(-1.0, 0.0)
         with pytest.raises(ValueError):
             GrowthCertificate(1.0, -0.5)
+
+    def test_bound_overflow_is_one_value_error(self):
+        w = weight_vector(TruncatedDomain(3))
+        assert GrowthCertificate(1e300, 2.0).bound_at(w).tolist() == (1e300 * w ** 2.0).tolist()
+        before = np.geterr()
+        for cert in (GrowthCertificate(1e308, 1.0), GrowthCertificate(1.0, 400.0)):
+            with pytest.raises(ValueError, match="overflows the float range"):
+                cert.bound_at(w)
+        assert np.geterr() == before

@@ -12,6 +12,7 @@ from martfock.subsets import (
     full_series,
     indicator,
     log_weight,
+    mask_weights,
     series_upper_bound,
     weight,
     weight_vector,
@@ -163,6 +164,35 @@ class TestWeightVectorKernel:
             weight_vector(TruncatedDomain(4, guard=3))
         with pytest.raises(DomainTooLargeError):
             weight_vector(TruncatedDomain(31))
+
+
+class TestMaskWeights:
+    def test_bitwise_equal_to_indexed_weight_vector(self):
+        # From horizon 16 the high-bit loop runs; from 18 the weights pass 2^53.
+        rng = np.random.default_rng(5)
+        for n in range(21):
+            d = TruncatedDomain(n)
+            w = weight_vector(d)
+            every = d.masks()
+            some = rng.integers(0, d.size, size=1001)  # unsorted, repeats
+            for masks in (every, some, every[::-1][:13]):
+                got = mask_weights(masks, n)
+                assert got.dtype == np.float64 and got.shape == masks.shape
+                assert np.array_equal(got.view(np.int64), w[masks].view(np.int64))
+
+    def test_ascending_products_beyond_exact_range(self):
+        # Past horizon 20 a weight may round; it must round as the product
+        # 1.0 * (k+1) * ... taken in ascending k, as the doubling takes it.
+        rng = np.random.default_rng(6)
+        masks = rng.integers(0, 1 << 41, size=500)
+        expected = []
+        for m in masks.tolist():
+            product = 1.0
+            for k in FiniteSubset(m).elements:
+                product *= k + 1
+            expected.append(product)
+        assert mask_weights(masks, 40).tolist() == expected
+        assert mask_weights(np.zeros(0, dtype=np.int64), 40).shape == (0,)
 
 
 class TestWeightedSeries:

@@ -22,9 +22,10 @@ from pathlib import Path
 SEEDS = (1, 2)
 
 
-def outputs(root: Path) -> dict[str, dict]:
+def outputs(root: Path, names: list[str] | None = None) -> dict[str, dict]:
     """{"seed/workload/file": {"exit": code, "sha256": digest}} of every CLI
-    output file of every workload, for each seed."""
+    output file of the named workloads (default: all of them), for each
+    seed."""
     sys.dont_write_bytecode = True  # leaves no __pycache__ under bench/
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
@@ -32,7 +33,8 @@ def outputs(root: Path) -> dict[str, dict]:
 
     found = {}
     for seed in SEEDS:
-        for name, cls in workloads.WORKLOADS.items():
+        for name in names or workloads.WORKLOADS:
+            cls = workloads.WORKLOADS[name]
             with tempfile.TemporaryDirectory() as tmp:
                 workload = cls(seed, Path(tmp))
                 for call in workload.calls:
