@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import FockCoefficients, InsufficientOrderError, _product
+from .functionals import FockCoefficients, InsufficientOrderError, _product, float_checked
 from .sequences import FunctionalSequence
 from .subsets import TruncatedDomain, mask_weights
 
@@ -105,15 +105,18 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     from 2^(n+1) on, so each level sums a suffix of that vector (an empty
     one once n >= max_index).  The terms are computed at phi's entries only
     and scattered into a zeroed domain-size vector, so every suffix is summed
-    in the same order, and to the same bits, as over a dense vector."""
+    in the same order, and to the same bits, as over a dense vector.  A term
+    or a sum that overflows raises ValueError."""
     if q <= 0.5:
         raise InsufficientOrderError(
             f"residual order q={q} too small; needs q > growth order + 1/2"
         )
-    domain._check_guard()
+    domain.plan(8 if phi.rule is None else 240)  # the terms; a rule's working set
     if all(n >= domain.max_index for n in levels):
         return [0.0 for _ in levels]
     masks, values = phi._entries_on(domain)
-    terms = np.zeros(domain.size)
-    terms[masks] = mask_weights(masks, domain.max_index) ** (-2.0 * q) * np.abs(values) ** 2
-    return [float(np.sqrt(np.sum(terms[1 << (n + 1):]))) for n in levels]
+    with float_checked(f"a residual term or sum at order q={q} overflows the float range"):
+        entries = mask_weights(masks, domain.max_index) ** (-2.0 * q) * np.abs(values) ** 2
+        terms = np.zeros(domain.size)
+        terms[masks] = entries
+        return [float(np.sqrt(np.sum(terms[1 << (n + 1):]))) for n in levels]

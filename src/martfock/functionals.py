@@ -21,6 +21,7 @@ certificates |F(sigma)| <= C * weight(sigma)^p with fitting and verification.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
@@ -76,6 +77,17 @@ def json_complex(rows: list) -> np.ndarray:
     if not np.isfinite(flat).all():
         raise ValueError("re and im must be finite")
     return flat.view(np.complex128)
+
+
+@contextlib.contextmanager
+def float_checked(message: str):
+    """Context for numpy arithmetic that raises ValueError(message) where it
+    overflows or makes an invalid value (such as inf - inf)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(message) from None
 
 
 def _product(a, b) -> np.ndarray:
@@ -178,8 +190,8 @@ class FockCoefficients:
 
     def values_on(self, domain: TruncatedDomain) -> np.ndarray:
         """Coefficients over the whole domain, ascending bitmask order.  The
-        domain's guard is checked before the vector is allocated."""
-        domain._check_guard()
+        vector, and a rule's memo, are planned before they are allocated."""
+        domain.plan(16 if self.rule is None else 200)  # a memo entry is 184 bytes
         if self.rule is not None:
             return np.fromiter(map(self.evaluate, domain), np.complex128, domain.size)
         values = np.zeros(domain.size, dtype=np.complex128)
@@ -188,7 +200,9 @@ class FockCoefficients:
         return values
 
     def _inside(self, domain: TruncatedDomain) -> int:
-        """How many table masks lie in the domain; they are a prefix."""
+        """How many table masks lie in the domain; they are a prefix (no
+        domain-sized allocation, so only the domain's guard applies)."""
+        domain.plan(0)
         return int(self._masks.searchsorted(np.uint64(domain.size - 1), side="right"))
 
     def _entries_on(self, domain: TruncatedDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +228,6 @@ class FockCoefficients:
         """Table-backed restriction to the domain (zeros dropped).  A table
         keeps the prefix of its masks inside the domain, with no dense vector;
         a rule is evaluated over the whole domain."""
-        domain._check_guard()
         if self.rule is not None:
             return FockCoefficients.from_vector(self.values_on(domain), domain.max_index)
         inside = self._inside(domain)
@@ -300,12 +313,9 @@ class GrowthCertificate:
 
     def bound_at(self, weights: np.ndarray) -> np.ndarray:
         """scale * weight^order at each weight; ValueError if it overflows."""
-        try:
-            with np.errstate(over="raise"):
-                return self.scale * weights ** self.order
-        except FloatingPointError:
-            raise ValueError(f"growth bound {self.scale!r} * weight^{self.order!r} "
-                             "overflows the float range") from None
+        with float_checked(f"growth bound {self.scale!r} * weight^{self.order!r} "
+                           "overflows the float range"):
+            return self.scale * weights ** self.order
 
 
 def sobolev_norm(phi: FockCoefficients, p: float, domain: TruncatedDomain) -> float:
@@ -370,8 +380,8 @@ def fit_growth_values(
     p_grid = list(p_grid)
     if not p_grid:
         raise ValueError("p_grid must be nonempty")
-    if any(p < 0 for p in p_grid):
-        raise ValueError("growth orders must be nonnegative")
+    if not all(0 <= p < np.inf for p in p_grid):  # NaN too
+        raise ValueError("growth orders must be finite and nonnegative")
     w_max = float(np.max(weights))
     curve: dict[float, float] = {}
     selected: Optional[GrowthCertificate] = None

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import FockCoefficients, json_complex, json_document, json_typed
+from .functionals import float_checked
 from .subsets import FiniteSubset, TruncatedDomain
 
 RANDOM_FUNCTIONAL_FORMAT = "random-functional/v1"
@@ -31,8 +32,7 @@ class SampleSpace:
     horizon: int
 
     def __post_init__(self):
-        if not 0 <= self.horizon <= 30:
-            raise ValueError(f"horizon must lie in 0..30, got {self.horizon}")
+        self.domain().plan(16)  # one complex128 value per point
 
     @property
     def size(self) -> int:
@@ -125,17 +125,14 @@ def fwht(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(v.view(np.float64)).all():  # real and imaginary parts
         raise ValueError("Walsh-Hadamard transform input holds a non-finite value")
     h = 1
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            while h < n:
-                v = v.reshape(-1, 2 * h)
-                top = v[:, :h].copy()
-                v[:, :h] = top + v[:, h:]
-                v[:, h:] = top - v[:, h:]
-                v = v.reshape(n)
-                h *= 2
-    except FloatingPointError:
-        raise ValueError("Walsh-Hadamard transform overflows float64") from None
+    with float_checked("Walsh-Hadamard transform overflows float64"):
+        while h < n:
+            v = v.reshape(-1, 2 * h)
+            top = v[:, :h].copy()
+            v[:, :h] = top + v[:, h:]
+            v[:, h:] = top - v[:, h:]
+            v = v.reshape(n)
+            h *= 2
     return v
 
 
@@ -249,6 +246,7 @@ def verify_normal_martingale(
     With the uniform measure every deviation is exactly 0; a biased measure
     (negative control) breaks the mean condition.
     """
+    space.domain().plan(16 * (space.horizon + 1) + 8)  # the walk, built twice
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
              else np.asarray(probabilities, dtype=float))
     if probs.shape != (space.size,):

@@ -65,8 +65,11 @@ class FunctionalSequence:
         return self.terms[n]
 
     def values_matrix(self, domain: TruncatedDomain) -> np.ndarray:
-        """Coefficients of every term over the domain: shape (len, domain size)."""
-        return np.stack([phi.values_on(domain) for phi in self.terms])
+        """Coefficients of every term over the domain: shape (len, domain size),
+        filled row by row, so the matrix and one row are live at a time."""
+        domain.plan(16 * (len(self) + 1))
+        return np.fromiter((phi.values_on(domain) for phi in self.terms),
+                           np.dtype((np.complex128, domain.size)), len(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,7 +174,8 @@ def _martingale_witness(
     for n in range(len(values) - 1):
         truncation = values[n + 1].copy()
         truncation[2 << n:] = 0
-        bad = np.flatnonzero(np.abs(values[n] - truncation) > tol)
+        with np.errstate(over="ignore"):  # an infinite difference exceeds tol
+            bad = np.flatnonzero(np.abs(values[n] - truncation) > tol)
         if bad.size:
             return n, FiniteSubset(int(bad[0]))
     return None
@@ -191,7 +195,8 @@ def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
 def _stabilization_indices(values: np.ndarray, tol: float) -> np.ndarray:
     """Per column: smallest index s with |values[n+1] - values[n]| <= tol for
     every n >= s."""
-    diffs = np.abs(np.diff(values, axis=0)) > tol
+    with np.errstate(over="ignore"):  # an infinite step exceeds tol
+        diffs = np.abs(np.diff(values, axis=0)) > tol
     k = diffs.shape[0]
     if k == 0:
         return np.zeros(values.shape[1], dtype=int)
@@ -262,8 +267,11 @@ def strong_convergence_test(
     grows = (stab > tail_start) & np.all(np.diff(tail_abs, axis=0) > 0, axis=0)
     for p, c in head_curve.items():
         # float_power takes libm's pow for every element, as a scalar ** does;
-        # an array ** may take a SIMD pow that differs in the last bit.
-        bound = c * np.float_power(weights, p)
+        # an array ** may take a SIMD pow that differs in the last bit.  A
+        # bound that overflows to inf (or to nan, as 0 * inf) is harmless:
+        # nothing exceeds it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = c * np.float_power(weights, p)
         grows &= (last - bound > 0) & (last - bound > before - bound)
     if grows.any():
         return ConvergenceVerdict(
@@ -324,7 +332,7 @@ def uniform_boundedness(
     family = list(functionals)
     if not family:
         raise ValueError("the family must be nonempty")
-    sup_abs = np.abs(np.stack([phi.values_on(domain) for phi in family])).max(axis=0)
+    sup_abs = np.abs(FunctionalSequence(family).values_matrix(domain)).max(axis=0)
     _, cert = fit_growth_values(sup_abs, weight_vector(domain), p_grid, domain)
     if cert is None:
         return None

@@ -11,17 +11,22 @@ and sequence diagnostics depend on deterministic iteration.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 MAX_INDEX = 63
-DEFAULT_ENUMERATION_GUARD = 30
+# The bytes one operation may plan for: an eighth of physical memory.  A
+# whole-domain path peaks at no more than 4x its largest planned request, so
+# an admitted call holds at most half of physical memory.
+MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 
 
 class DomainTooLargeError(ValueError):
-    """Requested full enumeration beyond the configured memory guard."""
+    """A domain-sized allocation was refused before it was made: its planned
+    bytes exceed MEMORY_BUDGET, or the domain's max_index exceeds its guard."""
 
 
 class InvalidExponentError(ValueError):
@@ -128,10 +133,15 @@ def json_mask(data: list[int]) -> int:
 
 @dataclass(frozen=True)
 class TruncatedDomain:
-    """All subsets of {0,..,max_index}, enumerated in ascending bitmask order."""
+    """All subsets of {0,..,max_index}, enumerated in ascending bitmask order.
+
+    Every domain-sized allocation is admitted by plan first.  guard is an
+    integer limit kept beside the byte budget: plan refuses a max_index above
+    it (default MAX_INDEX, so only the budget decides).
+    """
 
     max_index: int
-    guard: int = field(default=DEFAULT_ENUMERATION_GUARD, compare=False)
+    guard: int = field(default=MAX_INDEX, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.max_index <= MAX_INDEX:
@@ -141,12 +151,16 @@ class TruncatedDomain:
     def size(self) -> int:
         return 1 << (self.max_index + 1)
 
-    def _check_guard(self):
+    def plan(self, bytes_per_mask: int) -> None:
+        """Admit an operation that allocates bytes_per_mask bytes per mask of
+        the domain, before it allocates them; DomainTooLargeError if the
+        total exceeds MEMORY_BUDGET or max_index exceeds the guard."""
         if self.max_index > self.guard:
-            raise DomainTooLargeError(
-                f"enumerating 2^{self.max_index + 1} subsets exceeds guard "
-                f"max_index={self.guard}"
-            )
+            raise DomainTooLargeError(f"max_index {self.max_index} exceeds guard {self.guard}")
+        if self.size * bytes_per_mask > MEMORY_BUDGET:
+            raise DomainTooLargeError(f"2^{self.max_index + 1} subsets at {bytes_per_mask} "
+                                      f"bytes each need {self.size * bytes_per_mask} bytes, "
+                                      f"over the memory budget of {MEMORY_BUDGET} bytes")
 
     def __len__(self) -> int:
         return self.size
@@ -155,12 +169,12 @@ class TruncatedDomain:
         return sigma.mask < self.size
 
     def __iter__(self) -> Iterator[FiniteSubset]:
-        self._check_guard()
+        self.plan(120)  # a FiniteSubset and a list slot per mask, if kept
         return (FiniteSubset(m) for m in range(self.size))
 
     def masks(self) -> np.ndarray:
         """All bitmasks of the domain, ascending (int64 vector)."""
-        self._check_guard()
+        self.plan(8)
         return np.arange(self.size, dtype=np.int64)
 
 
@@ -193,10 +207,10 @@ def weight_vector(domain: TruncatedDomain) -> np.ndarray:
     That order is the contract: it fixes the rounding of products beyond the
     exact float64 range, bit for bit.
     """
-    domain._check_guard()
+    domain.plan(8)
     w = np.ones(domain.size)
     for k in range(domain.max_index + 1):
-        w[1 << k : 2 << k] = w[: 1 << k] * (k + 1)
+        np.multiply(w[: 1 << k], k + 1, out=w[1 << k : 2 << k])
     return w
 
 

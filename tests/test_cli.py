@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +18,18 @@ from martfock.rademacher import RandomFunctional, SampleSpace, constant, random_
 from martfock.sequences import FunctionalSequence, strong_convergence_test
 from martfock.subsets import FiniteSubset, TruncatedDomain
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data))
+
+
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter that reports every warning."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"}
+    return subprocess.run([sys.executable, "-m", "martfock.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestLambda:
@@ -176,9 +189,6 @@ class TestConverge:
                              "%.17g" % row.sup_abs, "%.17g" % row.certificate_margin])
         return buffer.getvalue().encode()
 
-    # The divergence scan's bound c * weight^p overflows to inf on the
-    # templates holding 1e308 (see CHANGES.md).
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         statuses, margins, overflowed = set(), [], []
         for max_index in range(7):
@@ -246,6 +256,39 @@ class TestConverge:
         assert captured.err.startswith("error: growth bound ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    def test_overflowing_divergence_bound_is_silent(self, tmp_path):
+        # The scan's bound c * weight^p overflows to inf at the weights of
+        # this domain; nothing exceeds an infinite bound, and no warning is
+        # printed for it.
+        terms = [FockCoefficients({FiniteSubset(0): float((n + 1) ** 3),
+                                   FiniteSubset.from_elements([0, 1]): 1e308})
+                 for n in range(12)]
+        src = tmp_path / "seq.json"
+        write_json(src, FunctionalSequence(terms).to_json_dict())
+        done = run_fresh("converge", "--in", str(src))
+        assert done.returncode == 1 and done.stderr == ""
+        assert json.loads(done.stdout) == {"status": "INCONCLUSIVE", "tail_start": 7}
+
+    @pytest.mark.parametrize("pgrid", ["inf", "0,nan", "-1,0"])
+    def test_growth_orders_must_be_finite_and_nonnegative(self, pgrid, tmp_path, capsys):
+        src = tmp_path / "seq.json"
+        write_json(src, approximation_sequence(indicator_functional(2), 3).to_json_dict())
+        assert main(["converge", "--in", str(src), f"--pgrid={pgrid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: growth orders must be finite and nonnegative\n"
+
+    def test_overflowing_differences_are_silent(self, tmp_path):
+        # Consecutive terms at -1e308 and 1e308 differ by more than the float
+        # range; an infinite difference exceeds every tol.
+        terms = [FockCoefficients({FiniteSubset(0): (-1.0) ** n * 1e308}, support_bound=1)
+                 for n in range(4)]
+        src = tmp_path / "seq.json"
+        write_json(src, FunctionalSequence(terms).to_json_dict())
+        for command in ("converge", "martingale-check"):
+            done = run_fresh(command, "--in", str(src))
+            assert done.returncode == 1 and done.stderr == ""
+
 
 class TestApprox:
     def test_residual_curve_decreases(self, tmp_path, capsys):
@@ -277,6 +320,17 @@ class TestApprox:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: truncation level must lie in 0..20, got 21\n"
+
+    def test_overflowing_residual_is_one_error_line(self, tmp_path):
+        # 1e200 squares past the float range: one error line, no inf
+        # residuals and no warning.
+        phi = FockCoefficients({FiniteSubset.from_elements([3]): 1e200, FiniteSubset(0): 1.0})
+        src, csv_path = tmp_path / "phi.json", tmp_path / "resid.csv"
+        write_json(src, phi.to_json_dict())
+        done = run_fresh("approx", "--in", str(src), "--n", "1", "--csv", str(csv_path))
+        assert done.returncode == 2 and not csv_path.exists()
+        assert done.stderr == ("error: a residual term or sum at order q=1.0 overflows "
+                               "the float range\n")
 
     def test_single_coefficient_residual_hits_zero(self, tmp_path):
         phi = FockCoefficients({FiniteSubset.from_elements([3]): 1.0})

@@ -1,8 +1,6 @@
-"""The approx workloads' CLI output bytes against the recorded sha256s.
-
-`python3 tools/goldens.py` checks every workload; this runs the two that
-exercise the approximant and residual kernels, for both seeds.
-"""
+"""Every benchmark workload's CLI output bytes and exit codes against the
+recorded sha256s (the check `python3 tools/goldens.py` makes), for both
+seeds."""
 
 import importlib.util
 import json
@@ -10,7 +8,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-NAMES = ["approx-sparse-wide", "approx-dense"]
 
 
 def bench_files():
@@ -18,7 +15,7 @@ def bench_files():
             for path in (ROOT / "bench").rglob("*")}
 
 
-def test_approx_outputs_match_recorded_sha256s(monkeypatch):
+def test_outputs_match_recorded_sha256s(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("goldens", ROOT / "tools" / "goldens.py")
@@ -26,8 +23,7 @@ def test_approx_outputs_match_recorded_sha256s(monkeypatch):
     spec.loader.exec_module(goldens)
     recorded = json.loads((ROOT / "tools" / "goldens.json").read_text())
     before = bench_files()
-    found = goldens.outputs(ROOT, NAMES)
+    found = goldens.outputs(ROOT)
     assert bench_files() == before
-    assert found == {key: value for key, value in recorded.items()
-                     if key.split("/")[1] in NAMES}
-    assert len(found) == 8
+    assert found == recorded
+    assert len(found) == 22

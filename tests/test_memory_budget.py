@@ -1,0 +1,218 @@
+"""The one memory check: TruncatedDomain.plan against subsets.MEMORY_BUDGET.
+
+tests/conftest.py pins the budget to 256 MiB for every test.  Here the
+budget is set lower to show that each whole-domain path plans before it
+allocates, and a recording wrapper shows that each path peaks at no more
+than 4x its largest planned request.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from martfock import subsets
+from martfock.convolution import all_ones, approximate, approximation_residual, residual_curve
+from martfock.functionals import FockCoefficients, fit_growth, pairing, sobolev_norm
+from martfock.rademacher import (
+    RandomFunctional,
+    SampleSpace,
+    chaos_expand,
+    conditional_expectation,
+    synthesize,
+    verify_normal_martingale,
+)
+from martfock.sequences import (
+    FunctionalSequence,
+    classical_to_sequence,
+    is_generalized_martingale,
+    martingale_limit,
+    strong_convergence_test,
+    uniform_boundedness,
+)
+from martfock.subsets import (
+    DomainTooLargeError,
+    FiniteSubset,
+    TruncatedDomain,
+    weight_vector,
+    weighted_series,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HORIZON = 16
+DOMAIN = TruncatedDomain(HORIZON)
+FLOAT_VECTOR = 8 * DOMAIN.size  # bytes of one float64 domain vector
+
+
+def sparse_table():
+    """64 nonzeros spread over the domain, as in a wide sparse input."""
+    masks = np.unique(np.random.default_rng(0).integers(0, DOMAIN.size, 64))
+    return FockCoefficients._from_arrays(masks.astype(np.uint64),
+                                         np.linspace(1.0, 2.0, masks.size) + 0j, None)
+
+
+def table_sequence(length=3):
+    return FunctionalSequence([sparse_table() * (n + 1) for n in range(length)])
+
+
+def sample_values():
+    return np.random.default_rng(1).standard_normal(DOMAIN.size) + 0j
+
+
+# name -> (inputs, call).  The inputs are built before the budget changes;
+# the call is every public path that allocates something domain-sized.
+PATHS = {
+    "masks": (lambda: (), lambda: DOMAIN.masks()),
+    "iter": (lambda: (), lambda: list(DOMAIN)),
+    "weight_vector": (lambda: (), lambda: weight_vector(DOMAIN)),
+    "weighted_series": (lambda: (), lambda: weighted_series(2.0, DOMAIN)),
+    "values_on table": (lambda: (sparse_table(),), lambda phi: phi.values_on(DOMAIN)),
+    "values_on rule": (lambda: (all_ones(),), lambda phi: phi.values_on(DOMAIN)),
+    "restricted rule": (lambda: (all_ones(),), lambda phi: phi.restricted(DOMAIN)),
+    "residual_curve table": (lambda: (sparse_table(),),
+                             lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
+    "residual_curve rule": (lambda: (all_ones(),),
+                            lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
+    "approximation_residual": (lambda: (sparse_table(),),
+                               lambda phi: approximation_residual(phi, 3, 1.0, DOMAIN)),
+    "values_matrix": (lambda: (table_sequence(),), lambda seq: seq.values_matrix(DOMAIN)),
+    "is_generalized_martingale": (lambda: (table_sequence(),),
+                                  lambda seq: is_generalized_martingale(seq, DOMAIN)),
+    "strong_convergence_test": (lambda: (table_sequence(),),
+                                lambda seq: strong_convergence_test(seq, DOMAIN)),
+    "strong_convergence_test classical": (
+        lambda: (classical_to_sequence(RandomFunctional(SampleSpace(HORIZON),
+                                                        sample_values())),),
+        lambda seq: strong_convergence_test(seq, DOMAIN)),
+    "martingale_limit": (
+        lambda: (classical_to_sequence(RandomFunctional(SampleSpace(HORIZON),
+                                                        sample_values())),),
+        lambda seq: martingale_limit(seq, DOMAIN)),
+    "uniform_boundedness": (lambda: (table_sequence().terms,),
+                            lambda family: uniform_boundedness(family, DOMAIN)),
+    "verify_normal_martingale": (lambda: (SampleSpace(HORIZON),), verify_normal_martingale),
+    "SampleSpace": (lambda: (), lambda: SampleSpace(HORIZON)),
+    "expand": (lambda: (sample_values(),),
+               lambda v: chaos_expand(RandomFunctional(SampleSpace(HORIZON), v))),
+    "synthesize": (lambda: (FockCoefficients.from_vector(sample_values(), HORIZON),),
+                   lambda phi: synthesize(phi, SampleSpace(HORIZON))),
+    "conditional_expectation": (
+        lambda: (sample_values(),),
+        lambda v: conditional_expectation(RandomFunctional(SampleSpace(HORIZON), v), 5)),
+    "fit_growth": (lambda: (sparse_table(),), lambda phi: fit_growth(phi, DOMAIN, (0, 1, 2))),
+    "sobolev_norm": (lambda: (sparse_table(),), lambda phi: sobolev_norm(phi, 1.0, DOMAIN)),
+    "pairing": (lambda: (sparse_table(),), lambda phi: pairing(phi, phi, DOMAIN)),
+}
+
+
+def traced_peak(call, *inputs):
+    """Peak bytes traced while call(*inputs) runs, over what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(*inputs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_is_an_eighth_of_physical_memory(monkeypatch):
+    # A fresh copy of the module, since conftest.py pins the loaded one's.
+    spec = importlib.util.spec_from_file_location("fresh_subsets", subsets.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "fresh_subsets", fresh)
+    spec.loader.exec_module(fresh)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert fresh.MEMORY_BUDGET == physical // 8
+    assert subsets.MEMORY_BUDGET == 256 << 20
+
+
+def test_plan_arithmetic(monkeypatch):
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 1024)
+    TruncatedDomain(6).plan(8)  # 128 masks * 8 bytes: exactly the budget
+    with pytest.raises(DomainTooLargeError, match="2\\^7 subsets at 9 bytes each need "
+                                                  "1152 bytes, over the memory budget "
+                                                  "of 1024 bytes"):
+        TruncatedDomain(6).plan(9)
+    with pytest.raises(DomainTooLargeError, match="max_index 4 exceeds guard 3"):
+        TruncatedDomain(4, guard=3).plan(0)
+    TruncatedDomain(63).plan(0)  # 2^64 masks at 0 bytes
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_one_byte_budget_refuses_before_allocating(name, monkeypatch):
+    setup, call = PATHS[name]
+    inputs = setup()
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 1)
+
+    def refused():
+        with pytest.raises(DomainTooLargeError, match="over the memory budget of 1 bytes"):
+            call(*inputs)
+
+    assert traced_peak(refused) < FLOAT_VECTOR
+
+
+def test_table_prefix_paths_plan_no_bytes(monkeypatch):
+    phi = sparse_table()
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 1)
+    for domain in (DOMAIN, TruncatedDomain(40), TruncatedDomain(63)):
+        assert phi.restricted(domain).support_bound == domain.max_index
+    assert approximate(phi, 12).support_bound == 12
+    top = int(phi._masks[-1])
+    assert phi.evaluate(FiniteSubset(top)) == phi._values[-1]
+    with pytest.raises(DomainTooLargeError, match="exceeds guard"):
+        phi.restricted(TruncatedDomain(40, guard=39))
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_peak_within_four_times_the_largest_plan(name, monkeypatch):
+    setup, call = PATHS[name]
+    inputs = setup()
+    requests = []
+    plan = TruncatedDomain.plan
+
+    def recording_plan(domain, bytes_per_mask):
+        requests.append(domain.size * bytes_per_mask)
+        plan(domain, bytes_per_mask)
+
+    monkeypatch.setattr(TruncatedDomain, "plan", recording_plan)
+    peak = traced_peak(call, *inputs)
+    assert requests and peak <= 4 * max(requests)
+
+
+CHILD = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    sys.path.insert(0, sys.argv[1])
+    from martfock import subsets
+    subsets.MEMORY_BUDGET = 256 << 20
+    from martfock.cli import main
+    sys.exit(main(sys.argv[2:]))
+""")
+
+
+def test_crash_reproductions_exit_2_under_an_address_space_limit(tmp_path):
+    # Unplanned, each call dies in a MemoryError traceback with exit 1 at
+    # 2 GiB of address space: a 2 GiB weight vector, and a 1.5 GiB matrix of
+    # three terms over 2^25 masks.
+    term = {"format": "fock-coefficients/v1", "support_bound": 24,
+            "coefficients": [{"sigma": [], "re": 1.0, "im": 0.0}]}
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"format": "fock-sequence/v1", "terms": [term] * 3}))
+    for argv in (["series", "--p", "2", "--horizon", "27"],
+                 ["converge", "--in", str(seq)],
+                 ["martingale-check", "--in", str(seq)]):
+        done = subprocess.run([sys.executable, "-c", CHILD, str(SRC), *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert "over the memory budget of 268435456 bytes" in lines[0]
