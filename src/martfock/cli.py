@@ -85,21 +85,14 @@ def cmd_expand(args) -> int:
 
 def cmd_synthesize(args) -> int:
     c = FockCoefficients.from_json_dict(_load_json(args.input))
-    horizon = args.horizon if args.horizon is not None else c.support_bound
-    if horizon is None:
-        print("error: rule-free input with no support bound needs --horizon",
-              file=sys.stderr)
-        return EXIT_ERROR
-    f = synthesize(c, SampleSpace(horizon))
+    f = synthesize(c, SampleSpace(c.support_bound if args.horizon is None else args.horizon))
     _dump_json(f.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _sequence_domain(seq: FunctionalSequence, horizon: int | None) -> TruncatedDomain:
-    if horizon is not None:
-        return TruncatedDomain(horizon)
-    bounds = [t.support_bound for t in seq.terms if t.support_bound is not None]
-    return TruncatedDomain(max(bounds) if bounds else 0)
+    bound = max(t.support_bound for t in seq.terms)  # a loaded table always has one
+    return TruncatedDomain(bound if horizon is None else horizon)
 
 
 def cmd_martingale_check(args) -> int:
@@ -144,14 +137,12 @@ def cmd_converge(args) -> int:
 
 def cmd_approx(args) -> int:
     phi = FockCoefficients.from_json_dict(_load_json(args.input))
-    horizon = args.horizon
-    if horizon is None:
-        horizon = phi.support_bound if phi.support_bound is not None else args.level
-    domain = TruncatedDomain(horizon)
+    domain = TruncatedDomain(phi.support_bound if args.horizon is None else args.horizon)
     approx = approximate(phi, args.level).restricted(domain)
+    # The residuals come first, so a call that fails on them writes nothing.
+    curve = residual_curve(phi, args.level, args.q, domain) if args.csv else None
     _dump_json(approx.to_json_dict(), args.out)
     if args.csv:
-        curve = residual_curve(phi, args.level, args.q, domain)
         Path(args.csv).write_text("n,residual\r\n" + "".join(
             "%d,%.17g\r\n" % row for row in enumerate(curve)), newline="")
     return EXIT_OK

@@ -58,9 +58,8 @@ def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:
     _check_level(n)
     if phi.rule is not None:
         return convolve(indicator_functional(n), phi)
-    inside = phi._inside(TruncatedDomain(n))
-    return FockCoefficients._from_arrays(phi._masks[:inside],
-                                         _product(1.0, phi._values[:inside]),
+    masks, values = phi._entries_on(TruncatedDomain(n))
+    return FockCoefficients._from_arrays(masks, _product(1.0, values),
                                          min(n, phi.support_bound))
 
 
@@ -107,14 +106,14 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     and scattered into a zeroed domain-size vector, so every suffix is summed
     in the same order, and to the same bits, as over a dense vector.  A term
     or a sum that overflows raises ValueError."""
-    if q <= 0.5:
-        raise InsufficientOrderError(
-            f"residual order q={q} too small; needs q > growth order + 1/2"
-        )
-    domain.plan(8 if phi.rule is None else 240)  # the terms; a rule's working set
+    if not q > 0.5:  # NaN too
+        raise InsufficientOrderError(f"residual order q={q} too small; "
+                                     "needs q > growth order + 1/2")
+    domain.plan(8)  # the terms vector; a rule's read plans itself
     if all(n >= domain.max_index for n in levels):
         return [0.0 for _ in levels]
     masks, values = phi._entries_on(domain)
+    masks = masks.view(np.int64)  # the same values once planned; numpy indexes int64 faster
     with float_checked(f"a residual term or sum at order q={q} overflows the float range"):
         entries = mask_weights(masks, domain.max_index) ** (-2.0 * q) * np.abs(values) ** 2
         terms = np.zeros(domain.size)

@@ -9,7 +9,9 @@ convolution, the dense vector over a domain, JSON output) are numpy
 operations on the two arrays; FiniteSubset objects are made only where the
 API hands out or takes in a subset (evaluate, table_items, the table=
 adapter) and in the JSON form.  A functional may instead be backed by a total
-rule sigma -> complex, whose values are memoised per subset.
+rule sigma -> complex, whose values are memoised per subset.  A rule has no
+table: it is read only over a domain (values_on, restricted), and
+table_items and the JSON form refuse it.
 
 The fock-coefficients/v1 loader is strict, like the other loaders that use
 the json_* helpers here: wrong JSON types (a bool is not an int), malformed
@@ -105,7 +107,9 @@ class FockCoefficients:
     A table is held as strictly ascending uint64 masks and their complex128
     values; table_items() lists it as (FiniteSubset, complex) pairs in
     ascending mask order.  A rule is evaluated on demand, and its values are
-    memoised per subset (a rule-backed functional holds empty arrays).
+    memoised per subset (a rule-backed functional holds empty arrays and has
+    no table).  _entries_on is the one reader of either backing over a
+    domain.
 
     support_bound: smallest N with all nonzero coefficients on subsets of
     {0,..,N}, or None when unbounded (rule-backed analytic functionals).
@@ -189,50 +193,42 @@ class FockCoefficients:
         return self._memo[sigma]
 
     def values_on(self, domain: TruncatedDomain) -> np.ndarray:
-        """Coefficients over the whole domain, ascending bitmask order.  The
-        vector, and a rule's memo, are planned before they are allocated."""
-        domain.plan(16 if self.rule is None else 200)  # a memo entry is 184 bytes
-        if self.rule is not None:
-            return np.fromiter(map(self.evaluate, domain), np.complex128, domain.size)
-        values = np.zeros(domain.size, dtype=np.complex128)
-        inside = self._inside(domain)
-        values[self._masks[:inside]] = self._values[:inside]
-        return values
-
-    def _inside(self, domain: TruncatedDomain) -> int:
-        """How many table masks lie in the domain; they are a prefix (no
-        domain-sized allocation, so only the domain's guard applies)."""
-        domain.plan(0)
-        return int(self._masks.searchsorted(np.uint64(domain.size - 1), side="right"))
+        """Coefficients over the whole domain, ascending bitmask order: the
+        entries of _entries_on scattered into a planned zero vector."""
+        domain.plan(16)
+        masks, values = self._entries_on(domain)
+        out = np.zeros(domain.size, dtype=np.complex128)
+        out[masks] = values
+        return out
 
     def _entries_on(self, domain: TruncatedDomain) -> tuple[np.ndarray, np.ndarray]:
-        """int64 masks and their values, covering every nonzero coefficient
-        in the domain: a table's prefix inside it, or all of a rule's domain."""
-        if self.rule is not None:
-            return domain.masks(), self.values_on(domain)
-        inside = self._inside(domain)
-        return self._masks[:inside].astype(np.int64), self._values[:inside]
+        """Ascending uint64 masks and their values, covering every nonzero
+        coefficient in the domain.  A table gives the prefix of its arrays
+        inside the domain, as held (nothing domain-sized is allocated); a
+        rule gives every mask of the domain and its value there, a read
+        planned with the memo it fills."""
+        if self.rule is None:
+            inside = self._masks.searchsorted(np.uint64(domain.size - 1), side="right")
+            return self._masks[:inside], self._values[:inside]
+        domain.plan(200)  # a mask, a value and a memo entry (184 bytes)
+        values = map(self.evaluate, map(FiniteSubset, range(domain.size)))
+        return domain.masks(), np.fromiter(values, np.complex128, domain.size)
 
     def _pairs(self) -> Iterable[tuple[int, complex]]:
-        """(mask, coefficient) pairs in ascending mask order: the table, or
-        the memoised values of a rule."""
-        if self.rule is None:
-            return zip(self._masks.tolist(), self._values.tolist())
-        return sorted((s.mask, v) for s, v in self._memo.items())
+        """(mask, coefficient) pairs of the table in ascending mask order.  A
+        rule has no table: it is read only over a domain (ValueError)."""
+        if self.rule is not None:
+            raise ValueError("a rule has no table; restrict it to a domain")
+        return zip(self._masks.tolist(), self._values.tolist())
 
     def table_items(self) -> Iterable[tuple[FiniteSubset, complex]]:
         """(subset, coefficient) pairs in ascending mask order (see _pairs)."""
         return [(FiniteSubset(m), v) for m, v in self._pairs()]
 
     def restricted(self, domain: TruncatedDomain) -> "FockCoefficients":
-        """Table-backed restriction to the domain (zeros dropped).  A table
-        keeps the prefix of its masks inside the domain, with no dense vector;
-        a rule is evaluated over the whole domain."""
-        if self.rule is not None:
-            return FockCoefficients.from_vector(self.values_on(domain), domain.max_index)
-        inside = self._inside(domain)
-        return FockCoefficients._from_arrays(self._masks[:inside], self._values[:inside],
-                                             domain.max_index)
+        """Table-backed restriction to the domain: the entries of _entries_on,
+        zeros dropped."""
+        return FockCoefficients._from_arrays(*self._entries_on(domain), domain.max_index)
 
     def __add__(self, other: "FockCoefficients") -> "FockCoefficients":
         if self.rule is not None or other.rule is not None:
@@ -266,7 +262,7 @@ class FockCoefficients:
 
     def to_json_dict(self) -> dict:
         """The fock-coefficients/v1 document: nonzero coefficients in
-        ascending mask order."""
+        ascending mask order (a rule has none to list; see _pairs)."""
         return {
             "format": FOCK_FORMAT,
             "support_bound": self.support_bound,
@@ -306,10 +302,9 @@ class GrowthCertificate:
     domain_checked: Optional[TruncatedDomain] = None
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError(f"certificate scale must be >= 0, got {self.scale}")
-        if self.order < 0:
-            raise ValueError(f"certificate order must be >= 0, got {self.order}")
+        for name, value in (("scale", self.scale), ("order", self.order)):
+            if not value >= 0:  # NaN too
+                raise ValueError(f"certificate {name} must be >= 0, got {value}")
 
     def bound_at(self, weights: np.ndarray) -> np.ndarray:
         """scale * weight^order at each weight; ValueError if it overflows."""
@@ -323,8 +318,10 @@ def sobolev_norm(phi: FockCoefficients, p: float, domain: TruncatedDomain) -> fl
 
     p = 0 gives the plain L2 norm; negative p is the dual-side diagnostic on
     the truncated domain.  If the functional's support exceeds the domain the
-    result is only a lower bound (a warning is emitted).
+    result is only a lower bound (a warning is emitted).  p must be finite.
     """
+    if not abs(p) < np.inf:  # NaN too
+        raise ValueError(f"Sobolev order must be finite, got {p}")
     if phi.support_bound is None or phi.support_bound > domain.max_index:
         warnings.warn(
             "domain does not cover the functional's support; norm is a lower bound",
@@ -345,10 +342,9 @@ def dual_norm_bound(cert: GrowthCertificate, q: float) -> float:
 
     Requires q > order + 1/2 so the untruncated series converges.
     """
-    if q <= cert.order + 0.5:
-        raise InsufficientOrderError(
-            f"dual order q={q} must exceed certificate order + 1/2 = {cert.order + 0.5}"
-        )
+    if not q > cert.order + 0.5:  # NaN too
+        raise InsufficientOrderError(f"dual order q={q} must exceed certificate "
+                                     f"order + 1/2 = {cert.order + 0.5}")
     if cert.scale == 0:
         return 0.0
     return cert.scale * float(np.sqrt(full_series(2.0 * (q - cert.order))))
@@ -375,7 +371,7 @@ def fit_growth_values(
     For each grid order p, C(p) = max |F| * weight^(-p) (exact on the vectors).
     The selected certificate takes the smallest p whose maximizing subset has
     weight at most half the largest domain weight, a stability heuristic
-    guarding against bounds driven by the truncation edge.
+    against bounds driven by the truncation edge.
     """
     p_grid = list(p_grid)
     if not p_grid:
@@ -414,8 +410,10 @@ def verify_certificate(
     """Check |F(sigma)| <= scale * weight^order over the domain.
 
     Returns (True, None) or (False, witness) with a violating subset.  The
-    relative slack rtol absorbs rounding in the weight powers.
+    relative slack rtol (finite, >= 0) absorbs rounding in the weight powers.
     """
+    if not 0 <= rtol < np.inf:  # NaN too
+        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
     abs_values = np.abs(phi.values_on(domain))
     bound = cert.bound_at(weight_vector(domain))
     bad = np.nonzero(abs_values > bound * (1.0 + rtol))[0]

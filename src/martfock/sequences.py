@@ -33,6 +33,12 @@ SEQUENCE_FORMAT = "fock-sequence/v1"
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    """The tolerance of the predicate and the verdict: finite and >= 0."""
+    if not 0 <= tol < np.inf:  # NaN too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 class InsufficientLengthError(ValueError):
     """The sequence is too short for the requested diagnostic."""
 
@@ -162,6 +168,7 @@ def is_generalized_martingale(
     consecutive pair; returns the first violation (n, sigma) on failure."""
     if len(seq) < 2:
         raise InsufficientLengthError("need at least two terms to test the relation")
+    _check_tol(tol)
     witness = _martingale_witness(seq.values_matrix(domain), tol)
     return witness is None, witness
 
@@ -225,6 +232,7 @@ def strong_convergence_test(
     """
     if len(seq) < 3:
         raise InsufficientLengthError("need at least three terms for a verdict")
+    _check_tol(tol)
     k_last = len(seq) - 1
     values = seq.values_matrix(domain)
     weights = weight_vector(domain)
@@ -297,6 +305,7 @@ def martingale_limit(
     constant from there on)."""
     if len(seq) < 2:
         raise InsufficientLengthError("need at least two terms to test the relation")
+    _check_tol(tol)
     values = seq.values_matrix(domain)
     witness = _martingale_witness(values, tol)
     if witness is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,7 +26,7 @@ MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 
 class DomainTooLargeError(ValueError):
     """A domain-sized allocation was refused before it was made: its planned
-    bytes exceed MEMORY_BUDGET, or the domain's max_index exceeds its guard."""
+    bytes exceed MEMORY_BUDGET."""
 
 
 class InvalidExponentError(ValueError):
@@ -135,13 +135,12 @@ def json_mask(data: list[int]) -> int:
 class TruncatedDomain:
     """All subsets of {0,..,max_index}, enumerated in ascending bitmask order.
 
-    Every domain-sized allocation is admitted by plan first.  guard is an
-    integer limit kept beside the byte budget: plan refuses a max_index above
-    it (default MAX_INDEX, so only the budget decides).
+    Every domain-sized allocation is admitted by plan first; plan counts
+    bytes only, so any max_index in 0..63 is admitted where nothing
+    domain-sized is allocated.
     """
 
     max_index: int
-    guard: int = field(default=MAX_INDEX, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.max_index <= MAX_INDEX:
@@ -154,9 +153,7 @@ class TruncatedDomain:
     def plan(self, bytes_per_mask: int) -> None:
         """Admit an operation that allocates bytes_per_mask bytes per mask of
         the domain, before it allocates them; DomainTooLargeError if the
-        total exceeds MEMORY_BUDGET or max_index exceeds the guard."""
-        if self.max_index > self.guard:
-            raise DomainTooLargeError(f"max_index {self.max_index} exceeds guard {self.guard}")
+        total exceeds MEMORY_BUDGET."""
         if self.size * bytes_per_mask > MEMORY_BUDGET:
             raise DomainTooLargeError(f"2^{self.max_index + 1} subsets at {bytes_per_mask} "
                                       f"bytes each need {self.size * bytes_per_mask} bytes, "
@@ -173,9 +170,9 @@ class TruncatedDomain:
         return (FiniteSubset(m) for m in range(self.size))
 
     def masks(self) -> np.ndarray:
-        """All bitmasks of the domain, ascending (int64 vector)."""
+        """All bitmasks of the domain, ascending (uint64, as table masks)."""
         self.plan(8)
-        return np.arange(self.size, dtype=np.int64)
+        return np.arange(self.size, dtype=np.uint64)
 
 
 def weight(sigma: FiniteSubset) -> int:
@@ -216,7 +213,7 @@ def weight_vector(domain: TruncatedDomain) -> np.ndarray:
 
 def mask_weights(masks: np.ndarray, max_index: int) -> np.ndarray:
     """weight_vector(TruncatedDomain(max_index))[masks], bit for bit, without
-    the whole-domain vector (masks: int64, each below 2^(max_index+1)).
+    the whole-domain vector (masks: integers, each below 2^(max_index+1)).
 
     The low 16 bits index a weight_vector of at most 2^16 entries; each higher
     bit k then multiplies in (k+1), in ascending k.  That is the product order
@@ -288,7 +285,7 @@ def zeta(s: float, a: float = 1.0) -> float:
 
 def series_upper_bound(p: float) -> float:
     """Upper bound exp(sum_{k>=1} k^-p) on the full (untruncated) series; p > 1."""
-    if p <= 1:
+    if not p > 1:  # NaN too
         raise InvalidExponentError(f"upper bound requires p > 1, got {p}")
     return math.exp(zeta(p))
 
@@ -300,7 +297,7 @@ def full_series(s: float, head_terms: int = 2000) -> float:
     log-product plus the exact tail sum_{k>K} log(1 + k^-s) expanded in Hurwitz
     zeta values, so the truncation error is below double rounding.
     """
-    if s <= 1:
+    if not s > 1:  # NaN too
         raise InvalidExponentError(f"full series requires exponent > 1, got {s}")
     k = np.arange(1, head_terms + 1, dtype=float)
     log_head = float(np.sum(np.log1p(k ** (-s))))

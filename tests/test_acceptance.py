@@ -101,7 +101,8 @@ def test_criterion_2_weighted_series():
         # Known red: the truncated sum at max_index 12 is 3.41396..., which
         # sits 0.262 below the infinite-product limit sinh(pi)/pi = 3.67608...
         # Proximity within 0.03 first holds near max_index 125, beyond the
-        # enumeration guard, so this gate cannot pass at the stated truncation.
+        # largest subset index (63), so this gate cannot pass at the stated
+        # truncation.
         assert abs(values[-1] - math.sinh(math.pi) / math.pi) <= 0.03
 
 

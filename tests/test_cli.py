@@ -290,6 +290,21 @@ class TestConverge:
             assert done.returncode == 1 and done.stderr == ""
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
+        # With the default tol this sequence is DIVERGED (exit 1); a NaN or
+        # infinite tol used to pass it as CONVERGED with exit 0.
+        terms = [FockCoefficients({FiniteSubset(0): float((n + 1) ** 3)}, support_bound=2)
+                 for n in range(12)]
+        src, out = tmp_path / "seq.json", tmp_path / "out.json"
+        write_json(src, FunctionalSequence(terms).to_json_dict())
+        for command in ("converge", "martingale-check"):
+            assert main([command, "--in", str(src), f"--tol={tol}", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == f"error: tol must be finite and nonnegative, got {float(tol)}\n"
+
+
 class TestApprox:
     def test_residual_curve_decreases(self, tmp_path, capsys):
         phi = all_ones().restricted(TruncatedDomain(6))
@@ -331,6 +346,20 @@ class TestApprox:
         assert done.returncode == 2 and not csv_path.exists()
         assert done.stderr == ("error: a residual term or sum at order q=1.0 overflows "
                                "the float range\n")
+
+    @pytest.mark.parametrize("q, value", [("0.5", 2.0), ("nan", 2.0), ("1", 1e200)])
+    def test_failing_residuals_write_nothing(self, q, value, tmp_path, capsys):
+        # The residuals are computed before the approximant is written, so a
+        # refused order or an overflow leaves neither file behind.
+        phi = FockCoefficients({FiniteSubset.from_elements([3]): value, FiniteSubset(0): 1.0})
+        src, out, csv_path = tmp_path / "phi.json", tmp_path / "a.json", tmp_path / "r.csv"
+        write_json(src, phi.to_json_dict())
+        for extra in ([], ["--out", str(out)]):
+            assert main(["approx", "--in", str(src), "--n", "1", "--q", q,
+                         "--csv", str(csv_path), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert not out.exists() and not csv_path.exists()
 
     def test_single_coefficient_residual_hits_zero(self, tmp_path):
         phi = FockCoefficients({FiniteSubset.from_elements([3]): 1.0})

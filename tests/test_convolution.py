@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from martfock import subsets
 from martfock.convolution import (
     INDICATOR_MAX_LEVEL,
     all_ones,
@@ -104,6 +105,20 @@ class TestConvolve:
         c = convolve(all_ones(), FockCoefficients.from_rule(lambda s: weight(s)))
         assert c.rule is not None
         assert c.evaluate(FiniteSubset.from_elements([2])) == 3
+
+
+def test_a_rule_has_no_table_to_list():
+    # Before, the listing was whatever the memo held: an empty document at
+    # first and a 3-row one after three evaluations.
+    ones = all_ones()
+    for evaluated in (0, 3):
+        for sigma in map(FiniteSubset, range(evaluated)):
+            assert ones.evaluate(sigma) == 1.0
+        for listing in (ones.table_items, ones.to_json_dict):
+            with pytest.raises(ValueError, match="restrict it to a domain"):
+                listing()
+    assert ones.restricted(TruncatedDomain(1)).to_json_dict()["coefficients"] == [
+        {"sigma": sigma, "re": 1.0, "im": 0.0} for sigma in ([], [0], [1], [0, 1])]
 
 
 class TestIndicatorFunctional:
@@ -247,6 +262,13 @@ class TestApproximationResidual:
         with pytest.raises(InsufficientOrderError):
             approximation_residual(all_ones(), 2, 0.4, TruncatedDomain(3))
 
+    def test_nan_order_refused(self):
+        phi = from_masks({0: 1.0, 8: 2.0})
+        with pytest.raises(InsufficientOrderError):
+            approximation_residual(phi, 1, float("nan"), TruncatedDomain(3))
+        with pytest.raises(InsufficientOrderError):
+            residual_curve(phi, 1, float("nan"), TruncatedDomain(3))
+
 
 @functools.lru_cache(maxsize=1)
 def dense_arrays(phi, domain):
@@ -332,11 +354,14 @@ class TestResidualCurve:
         with pytest.raises(InsufficientOrderError):
             residual_curve(all_ones(), 2, 0.5, TruncatedDomain(31))
 
-    def test_guard_checked_before_allocating(self):
-        # The small case first: without a guard it fails cheaply instead of
-        # going on to the 2^32-entry request.
+    def test_guard_checked_before_allocating(self, monkeypatch):
+        # The small case first: unplanned, it succeeds cheaply (and the test
+        # fails) instead of going on to the 2^32-entry request.  The budget
+        # holds the terms vector over {0..3}, not over {0..4}.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 8 * 16)
         table = from_masks({3: 1.0, 1 << 31: 2.0})
-        for domain in (TruncatedDomain(4, guard=3), TruncatedDomain(31)):
+        assert residual_curve(table, 2, 1.0, TruncatedDomain(3)) == [0.5, 0.0, 0.0]
+        for domain in (TruncatedDomain(4), TruncatedDomain(31)):
             for phi in (all_ones(), table):
                 with pytest.raises(DomainTooLargeError):
                     residual_curve(phi, 2, 1.0, domain)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from martfock import subsets
 from martfock.functionals import (
     FockCoefficients,
     GrowthCertificate,
@@ -87,15 +88,17 @@ class TestFockCoefficients:
         assert r.evaluate(FiniteSubset.from_elements([3])) == 0
         assert r.support_bound == 1
 
-    def test_guard_applies_to_tables(self):
-        # 2^5 masks against guard max_index=3: raise, whatever backs the table.
-        domain = TruncatedDomain(4, guard=3)
+    def test_guard_applies_to_tables(self, monkeypatch):
+        # A budget of one complex128 vector over {0..3}: a vector over 2^5
+        # masks is refused, however few entries back the table.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 16 * 16)
+        domain = TruncatedDomain(4)
         for phi in (FockCoefficients.zero(), table_functional([([0], 1.0)])):
             with pytest.raises(DomainTooLargeError):
                 phi.values_on(domain)
-            with pytest.raises(DomainTooLargeError):
-                phi.restricted(domain)
-        assert FockCoefficients.zero().values_on(TruncatedDomain(3, guard=3)).size == 16
+        with pytest.raises(DomainTooLargeError):
+            FockCoefficients.from_rule(lambda s: 1.0).restricted(domain)
+        assert FockCoefficients.zero().values_on(TruncatedDomain(3)).size == 16
 
     @pytest.mark.parametrize("entries", [
         [],
@@ -176,6 +179,11 @@ class TestSobolevNorm:
         lo, hi = sorted((p, q))
         assert sobolev_norm(phi, lo, d) <= sobolev_norm(phi, hi, d) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_order_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="Sobolev order must be finite"):
+            sobolev_norm(indicator_functional(1), p, TruncatedDomain(1))
+
     def test_lower_bound_warning(self):
         phi = table_functional([([4], 1.0)])
         with pytest.warns(UserWarning, match="lower bound"):
@@ -222,6 +230,10 @@ class TestDualNormBound:
     def test_order_guard(self):
         with pytest.raises(InsufficientOrderError):
             dual_norm_bound(GrowthCertificate(1.0, 0.5), 1.0)
+
+    def test_nan_order_refused(self):
+        with pytest.raises(InsufficientOrderError):
+            dual_norm_bound(GrowthCertificate(1.0, 0.0), float("nan"))
 
     def test_dominates_truncated_dual_norm(self):
         # any functional certified at (C, p) has truncated -q norm below the bound
@@ -295,6 +307,19 @@ class TestGrowthCertificates:
             GrowthCertificate(-1.0, 0.0)
         with pytest.raises(ValueError):
             GrowthCertificate(1.0, -0.5)
+
+    def test_nan_certificate_fields_refused(self):
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            GrowthCertificate(float("nan"), 0.0)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            GrowthCertificate(1.0, float("nan"))
+
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1e-12])
+    def test_verify_refuses_rtol_that_is_not_finite_and_nonnegative(self, rtol):
+        # A NaN slack made every comparison false, so any functional passed.
+        phi = FockCoefficients.from_rule(lambda s: weight(s), support_bound=None)
+        with pytest.raises(ValueError, match="rtol must be finite and nonnegative"):
+            verify_certificate(phi, GrowthCertificate(1.0, 0.0), TruncatedDomain(2), rtol)
 
     def test_bound_overflow_is_one_value_error(self):
         w = weight_vector(TruncatedDomain(3))

@@ -5,8 +5,10 @@ JSON value or removed; numbers run up to 1e308, and option values lie at and
 past their limits.  The memory budget is 4 MiB.  Property: main returns 0, 1
 or 2 and raises nothing (argparse's own usage errors exit through
 SystemExit); no warning is emitted; stderr holds at most one line, except
-argparse's usage text; and only the verdict commands (series,
-martingale-check, converge) exit 1.
+argparse's usage text; only the verdict commands (series,
+martingale-check, converge) exit 1; an exit 2 leaves neither the --out nor
+the --csv file behind; and a NaN or infinite --tol, or a NaN --q with
+--csv, exits 2.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from martfock import subsets
@@ -139,18 +141,35 @@ commands = st.one_of(
 )
 
 
+def coefficients(rows, bound=None):
+    return {"format": "fock-coefficients/v1", "support_bound": bound,
+            "coefficients": [{"sigma": sigma, "re": re, "im": 0} for sigma, re in rows]}
+
+
+# Twelve terms {[]: (n+1)^3}: DIVERGED with exit 1 at the default tol.
+CUBIC = {"format": "fock-sequence/v1",
+         "terms": [coefficients([([], (n + 1) ** 3)], 2) for n in range(12)]}
+TWO_ROWS = coefficients([([3], 2), ([], 1)])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
+@example(("converge", CUBIC, ["--tol", "nan"]))
+@example(("converge", CUBIC, ["--tol", "inf"]))
+@example(("approx", TWO_ROWS, ["--n", "1", "--q", "nan", "--csv", "c"]))
+@example(("approx", TWO_ROWS, ["--n", "1", "--q", "0.5", "--csv", "c"]))
 @given(commands)
 def test_exit_codes_and_stderr(case):
     name, doc, extra = case
+    opts = dict(zip(extra[::2], extra[1::2]))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(subsets, "MEMORY_BUDGET", 4 << 20)
+        outputs = [Path(tmp, "out.json"), Path(tmp, "c")]
         argv = [name]
         if doc is not None:
             source = Path(tmp, "in.json")
             source.write_text(json.dumps(doc))
-            argv += ["--in", str(source), "--out", str(Path(tmp, "out.json"))]
-        argv += [str(Path(tmp, x)) if x == "c" else x for x in extra]
+            argv += ["--in", str(source), "--out", str(outputs[0])]
+        argv += [str(outputs[1]) if x == "c" else x for x in extra]
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), \
@@ -161,7 +180,11 @@ def test_exit_codes_and_stderr(case):
             except SystemExit as usage:  # argparse rejected the argv
                 assert usage.code == 2 and "usage:" in stderr.getvalue()
                 return
+        written = [path.name for path in outputs if path.exists()]
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2)
     assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
     assert code != 1 or name in VERDICT_COMMANDS
+    assert code != 2 or not written, written
+    if opts.get("--tol") in ("nan", "inf") or (opts.get("--q") == "nan" and "--csv" in opts):
+        assert code == 2

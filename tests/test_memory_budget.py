@@ -78,6 +78,9 @@ PATHS = {
     "restricted rule": (lambda: (all_ones(),), lambda phi: phi.restricted(DOMAIN)),
     "residual_curve table": (lambda: (sparse_table(),),
                              lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
+    "residual_curve dense table": (
+        lambda: (FockCoefficients.from_vector(sample_values(), HORIZON),),
+        lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
     "residual_curve rule": (lambda: (all_ones(),),
                             lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
     "approximation_residual": (lambda: (sparse_table(),),
@@ -141,8 +144,6 @@ def test_plan_arithmetic(monkeypatch):
                                                   "1152 bytes, over the memory budget "
                                                   "of 1024 bytes"):
         TruncatedDomain(6).plan(9)
-    with pytest.raises(DomainTooLargeError, match="max_index 4 exceeds guard 3"):
-        TruncatedDomain(4, guard=3).plan(0)
     TruncatedDomain(63).plan(0)  # 2^64 masks at 0 bytes
 
 
@@ -167,8 +168,6 @@ def test_table_prefix_paths_plan_no_bytes(monkeypatch):
     assert approximate(phi, 12).support_bound == 12
     top = int(phi._masks[-1])
     assert phi.evaluate(FiniteSubset(top)) == phi._values[-1]
-    with pytest.raises(DomainTooLargeError, match="exceeds guard"):
-        phi.restricted(TruncatedDomain(40, guard=39))
 
 
 @pytest.mark.parametrize("name", PATHS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from martfock import subsets
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
 from martfock.functionals import FockCoefficients, fit_growth_values
 from martfock.rademacher import (
@@ -74,11 +75,14 @@ class TestMartingalePredicate:
                 FunctionalSequence([FockCoefficients.zero()]), TruncatedDomain(1)
             )
 
-    def test_guard_applies_to_table_terms(self):
+    def test_guard_applies_to_table_terms(self, monkeypatch):
+        # A budget of the two-term values matrix (and one row) over {0..3}.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 16 * 3 * 16)
         seq = FunctionalSequence([FockCoefficients.zero(),
                                   FockCoefficients({FiniteSubset(0): 1.0})])
+        assert is_generalized_martingale(seq, TruncatedDomain(3))[0] is False
         with pytest.raises(DomainTooLargeError):
-            is_generalized_martingale(seq, TruncatedDomain(4, guard=3))
+            is_generalized_martingale(seq, TruncatedDomain(4))
 
 
 class TestClassicalToSequence:
@@ -496,6 +500,18 @@ class TestMartingaleLimit:
         assert limit.support_bound == 4
         assert not np.array_equal(limit.values_on(domain),
                                   seq.values_matrix(domain)[-1])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    # A NaN or infinite tol made every "> tol" test false: any sequence
+    # passed the predicate and settled.
+    seq = FunctionalSequence([FockCoefficients({FiniteSubset(0): float((n + 1) ** 3)},
+                                               support_bound=2) for n in range(12)])
+    domain = TruncatedDomain(2)
+    for check in (is_generalized_martingale, strong_convergence_test, martingale_limit):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check(seq, domain, tol)
 
 
 class TestUniformBoundedness:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from martfock import subsets
 from martfock.subsets import (
     DomainTooLargeError,
     FiniteSubset,
@@ -113,10 +114,13 @@ class TestTruncatedDomain:
         small = set(TruncatedDomain(2))
         assert small <= set(TruncatedDomain(4))
 
-    def test_guard(self):
-        with pytest.raises(DomainTooLargeError):
-            list(TruncatedDomain(31, guard=30))
-        assert len(list(TruncatedDomain(3, guard=3))) == 16
+    def test_guard(self, monkeypatch):
+        # A budget of one FiniteSubset per mask of {0..3}.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 16 * 120)
+        for n in (4, 31):
+            with pytest.raises(DomainTooLargeError):
+                list(TruncatedDomain(n))
+        assert len(list(TruncatedDomain(3))) == 16
 
     def test_indicator_restriction_matches_smaller_domain(self):
         inner = {s for s in TruncatedDomain(5) if indicator(s, 3)}
@@ -157,11 +161,13 @@ class TestWeightVectorKernel:
             w = weight_vector(TruncatedDomain(n))
             assert w.tolist() == exact[: 1 << (n + 1)]
 
-    def test_guard_checked_before_allocating(self):
-        # The small case first: without a guard it fails cheaply instead of
-        # going on to the 2^32-entry request.
+    def test_guard_checked_before_allocating(self, monkeypatch):
+        # The small case first: unplanned, it succeeds cheaply (and the test
+        # fails) instead of going on to the 2^32-entry request.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 8 * 16)
+        assert weight_vector(TruncatedDomain(3)).size == 16
         with pytest.raises(DomainTooLargeError):
-            weight_vector(TruncatedDomain(4, guard=3))
+            weight_vector(TruncatedDomain(4))
         with pytest.raises(DomainTooLargeError):
             weight_vector(TruncatedDomain(31))
 
@@ -236,6 +242,13 @@ class TestWeightedSeries:
 
 
 class TestFullSeries:
+    @pytest.mark.parametrize("p", [1.0, 0.5, float("nan"), float("-inf")])
+    def test_closed_forms_refuse_exponents_up_to_one_and_nan(self, p):
+        with pytest.raises(InvalidExponentError):
+            full_series(p)
+        with pytest.raises(InvalidExponentError):
+            series_upper_bound(p)
+
     def test_known_value(self):
         # infinite product identity: sum over all subsets at exponent 2
         assert full_series(2) == pytest.approx(math.sinh(math.pi) / math.pi, rel=1e-13)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from martfock import subsets
 from martfock.convolution import approximate, convolve, indicator_functional
 from martfock.functionals import FockCoefficients
 from martfock.subsets import FiniteSubset, TruncatedDomain, indicator
@@ -140,12 +141,14 @@ def test_restricted_equals_the_dense_route(table, max_index):
     assert got.support_bound == want.support_bound
 
 
-def test_restricted_to_the_widest_domain_keeps_every_nonzero():
+def test_restricted_to_the_widest_domain_keeps_every_nonzero(monkeypatch):
+    # A table's restriction allocates nothing domain-sized, so it runs
+    # under a 1-byte budget.
     table = {FiniteSubset(m): v for m, v in
              [(0, 1.0), (5, -0.0), (1 << 40, complex(math.nan, 0.0)), (TOP, 2j), (3, 0.0)]}
     phi = FockCoefficients(table)
-    same(phi.restricted(TruncatedDomain(63, guard=63)),
-         DictTable(table).restricted(TruncatedDomain(63)))
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 1)
+    same(phi.restricted(TruncatedDomain(63)), DictTable(table).restricted(TruncatedDomain(63)))
 
 
 @settings(max_examples=200)
