@@ -5,9 +5,11 @@ factorized oracle and closed bound, chaos expansion / synthesis of sample
 files, martingale checking, convergence verdicts, and truncation
 approximants with residual curves.
 
-Outputs are deterministic: JSON is emitted with sorted keys and compact
-separators, CSV rows in ascending order.  Exit codes: 0 on success (and on a
-passing verdict), 1 on a failing verdict, 2 on usage or input errors.
+Outputs are deterministic: JSON documents are read and written by formats
+(canonical: sorted keys, compact separators), CSV rows in ascending order.
+approx and converge write their --out and --csv files both or neither
+(formats.staged).  Exit codes: 0 on success (and on a passing verdict), 1 on
+a failing verdict, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import subsets
+from . import formats, subsets
 from .convolution import approximate, residual_curve
 from .functionals import FockCoefficients
 from .rademacher import RandomFunctional, SampleSpace, chaos_expand, synthesize
@@ -32,19 +34,6 @@ from .subsets import FiniteSubset, TruncatedDomain
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-
-def _dump_json(data: dict, out: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def _parse_pgrid(text: str) -> list[float]:
@@ -78,15 +67,15 @@ def cmd_series(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    f = RandomFunctional.from_json_dict(_load_json(args.input))
-    _dump_json(chaos_expand(f).to_json_dict(), args.out)
+    f = RandomFunctional.from_json_dict(formats.load_json(args.input))
+    formats.write(chaos_expand(f).to_document(), args.out)
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    c = FockCoefficients.from_json_dict(_load_json(args.input))
+    c = FockCoefficients.from_json_dict(formats.load_json(args.input))
     f = synthesize(c, SampleSpace(c.support_bound if args.horizon is None else args.horizon))
-    _dump_json(f.to_json_dict(), args.out)
+    formats.write(f.to_document(), args.out)
     return EXIT_OK
 
 
@@ -96,14 +85,14 @@ def _sequence_domain(seq: FunctionalSequence, horizon: int | None) -> TruncatedD
 
 
 def cmd_martingale_check(args) -> int:
-    seq = FunctionalSequence.from_json_dict(_load_json(args.input))
+    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input))
     domain = _sequence_domain(seq, args.horizon)
     ok, witness = is_generalized_martingale(seq, domain, args.tol)
     report = {"passed": ok, "tol": args.tol, "horizon": domain.max_index}
     if witness is not None:
         n, sigma = witness
         report["witness"] = {"term": n, "sigma": sigma.to_json()}
-    _dump_json(report, args.out)
+    formats.write(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -126,25 +115,27 @@ def _write_diagnostics_csv(path: str, diagnostics, max_index: int) -> None:
 
 
 def cmd_converge(args) -> int:
-    seq = FunctionalSequence.from_json_dict(_load_json(args.input))
+    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input))
     domain = _sequence_domain(seq, args.horizon)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
-    _dump_json(verdict.to_json_dict(), args.out)
-    if args.csv:
-        _write_diagnostics_csv(args.csv, verdict.diagnostics, domain.max_index)
+    with formats.staged(args.out, args.csv) as (out, csv):
+        formats.write(verdict.to_document(), out)
+        if csv:
+            _write_diagnostics_csv(csv, verdict.diagnostics, domain.max_index)
     return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL
 
 
 def cmd_approx(args) -> int:
-    phi = FockCoefficients.from_json_dict(_load_json(args.input))
+    phi = FockCoefficients.from_json_dict(formats.load_json(args.input))
     domain = TruncatedDomain(phi.support_bound if args.horizon is None else args.horizon)
     approx = approximate(phi, args.level).restricted(domain)
     # The residuals come first, so a call that fails on them writes nothing.
     curve = residual_curve(phi, args.level, args.q, domain) if args.csv else None
-    _dump_json(approx.to_json_dict(), args.out)
-    if args.csv:
-        Path(args.csv).write_text("n,residual\r\n" + "".join(
-            "%d,%.17g\r\n" % row for row in enumerate(curve)), newline="")
+    with formats.staged(args.out, args.csv) as (out, csv):
+        formats.write(approx.to_document(), out)
+        if csv:
+            Path(csv).write_text("n,residual\r\n" + "".join(
+                "%d,%.17g\r\n" % row for row in enumerate(curve)), newline="")
     return EXIT_OK
 
 

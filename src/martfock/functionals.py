@@ -8,14 +8,12 @@ of exactly zero.  Table operations (sums, scalar multiples, restriction,
 convolution, the dense vector over a domain, JSON output) are numpy
 operations on the two arrays; FiniteSubset objects are made only where the
 API hands out or takes in a subset (evaluate, table_items, the table=
-adapter) and in the JSON form.  A functional may instead be backed by a total
-rule sigma -> complex, whose values are memoised per subset.  A rule has no
-table: it is read only over a domain (values_on, restricted), and
-table_items and the JSON form refuse it.
+adapter).  A functional may instead be backed by a total rule sigma ->
+complex, whose values are memoised per subset.  A rule has no table: it is
+read only over a domain (values_on, restricted), and table_items and the
+JSON form refuse it.
 
-The fock-coefficients/v1 loader is strict, like the other loaders that use
-the json_* helpers here: wrong JSON types (a bool is not an int), malformed
-subsets and non-finite numbers raise ValueError.
+The fock-coefficients/v1 document is read and written through formats.
 
 Also here: the weighted Sobolev norm chain, the canonical pairing, and growth
 certificates |F(sigma)| <= C * weight(sigma)^p with fitting and verification.
@@ -30,55 +28,12 @@ from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .subsets import (
-    FiniteSubset,
-    TruncatedDomain,
-    full_series,
-    json_mask,
-    mask_elements,
-    weight_vector,
-)
-
-FOCK_FORMAT = "fock-coefficients/v1"
+from . import formats
+from .subsets import FiniteSubset, TruncatedDomain, full_series, weight_vector
 
 
 class InsufficientOrderError(ValueError):
     """Dual norm order too small for the certificate; the series may diverge."""
-
-
-def json_document(data, fmt: str) -> dict:
-    """data, checked to be a JSON object whose format field is fmt."""
-    if type(data) is not dict:
-        raise ValueError(f"a {fmt} document must be a JSON object")
-    if data.get("format") != fmt:
-        raise ValueError(f"unexpected format field: {data.get('format')!r}")
-    return data
-
-
-def json_typed(value, kind: type, name: str):
-    """value, checked to be of this JSON type (a bool is not an int)."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a JSON {kind.__name__}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def json_complex(rows: list) -> np.ndarray:
-    """complex128 vector from JSON rows {"re": x, "im": y}.  Each part must be
-    an int or a float (not a bool) and finite."""
-    try:
-        parts = [x for row in rows for x in (row["re"], row["im"])]
-    except TypeError:
-        raise ValueError("every row must be a JSON object") from None
-    if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, parts))):
-        raise ValueError("re and im must be JSON numbers")
-    try:
-        flat = np.array(parts, dtype=np.float64)
-    except OverflowError:
-        raise ValueError("re or im exceeds the float range") from None
-    if not np.isfinite(flat).all():
-        raise ValueError("re and im must be finite")
-    return flat.view(np.complex128)
 
 
 @contextlib.contextmanager
@@ -198,7 +153,7 @@ class FockCoefficients:
         domain.plan(16)
         masks, values = self._entries_on(domain)
         out = np.zeros(domain.size, dtype=np.complex128)
-        out[masks] = values
+        out[masks.view(np.int64)] = values  # below 2^63 once planned
         return out
 
     def _entries_on(self, domain: TruncatedDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +169,17 @@ class FockCoefficients:
         values = map(self.evaluate, map(FiniteSubset, range(domain.size)))
         return domain.masks(), np.fromiter(values, np.complex128, domain.size)
 
-    def _pairs(self) -> Iterable[tuple[int, complex]]:
-        """(mask, coefficient) pairs of the table in ascending mask order.  A
-        rule has no table: it is read only over a domain (ValueError)."""
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's masks and values, ascending.  A rule has no table: it
+        is read only over a domain (ValueError)."""
         if self.rule is not None:
             raise ValueError("a rule has no table; restrict it to a domain")
-        return zip(self._masks.tolist(), self._values.tolist())
+        return self._masks, self._values
 
     def table_items(self) -> Iterable[tuple[FiniteSubset, complex]]:
-        """(subset, coefficient) pairs in ascending mask order (see _pairs)."""
-        return [(FiniteSubset(m), v) for m, v in self._pairs()]
+        """(subset, coefficient) pairs in ascending mask order (see _table)."""
+        masks, values = self._table()
+        return [(FiniteSubset(m), v) for m, v in zip(masks.tolist(), values.tolist())]
 
     def restricted(self, domain: TruncatedDomain) -> "FockCoefficients":
         """Table-backed restriction to the domain: the entries of _entries_on,
@@ -260,30 +216,29 @@ class FockCoefficients:
         difference = self.values_on(domain) - other.values_on(domain)
         return bool(np.max(np.abs(difference), initial=0.0) <= tol)
 
-    def to_json_dict(self) -> dict:
-        """The fock-coefficients/v1 document: nonzero coefficients in
-        ascending mask order (a rule has none to list; see _pairs)."""
-        return {
-            "format": FOCK_FORMAT,
-            "support_bound": self.support_bound,
-            "coefficients": [{"sigma": mask_elements(m), "re": v.real, "im": v.imag}
-                             for m, v in self._pairs() if v != 0],
-        }
+    def to_document(self) -> dict:
+        """The fock-coefficients/v1 document, for formats.write: the nonzero
+        coefficients in ascending mask order (a rule has none; see _table)."""
+        masks, values = self._table()
+        return {"format": formats.FOCK_FORMAT, "support_bound": self.support_bound,
+                "coefficients": formats.Rows(values, masks)}
+
+    to_json_dict = formats.as_dict
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockCoefficients":
-        json_document(data, FOCK_FORMAT)
+        formats.json_document(data, formats.FOCK_FORMAT)
         bound = data.get("support_bound")
         if bound is not None:
-            json_typed(bound, int, "support_bound")
-        rows = json_typed(data["coefficients"], list, "coefficients")
-        values = json_complex(rows)
-        masks = np.array([json_mask(row["sigma"]) for row in rows], dtype=np.uint64)
+            formats.json_typed(bound, int, "support_bound")
+        rows = formats.json_typed(data["coefficients"], list, "coefficients")
+        values = formats.json_complex(rows)
+        masks = formats.json_masks([row["sigma"] for row in rows])
         order = np.argsort(masks)
         masks, values = masks[order], values[order]
         repeated = masks[1:][masks[1:] == masks[:-1]]
         if repeated.size:
-            raise ValueError(f"duplicate sigma {mask_elements(int(repeated[0]))} in file")
+            raise ValueError(f"duplicate sigma {list(FiniteSubset(int(repeated[0])))} in file")
         return cls._from_arrays(masks, values, bound, drop_zeros=False)
 
     def __repr__(self) -> str:

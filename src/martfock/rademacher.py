@@ -14,11 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functionals import FockCoefficients, json_complex, json_document, json_typed
-from .functionals import float_checked
+from . import formats
+from .functionals import FockCoefficients, float_checked
 from .subsets import FiniteSubset, TruncatedDomain
-
-RANDOM_FUNCTIONAL_FORMAT = "random-functional/v1"
 
 
 class OutOfHorizonError(ValueError):
@@ -64,18 +62,19 @@ class RandomFunctional:
                 f"expected {self.space.size} values, got shape {self.values.shape}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format": RANDOM_FUNCTIONAL_FORMAT,
-            "horizon": self.space.horizon,
-            "values": [{"re": v.real, "im": v.imag} for v in self.values],
-        }
+    def to_document(self) -> dict:
+        """The random-functional/v1 document, for formats.write."""
+        return {"format": formats.RANDOM_FUNCTIONAL_FORMAT, "horizon": self.space.horizon,
+                "values": formats.Rows(self.values)}
+
+    to_json_dict = formats.as_dict
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RandomFunctional":
-        json_document(data, RANDOM_FUNCTIONAL_FORMAT)
-        space = SampleSpace(json_typed(data["horizon"], int, "horizon"))
-        return cls(space, json_complex(json_typed(data["values"], list, "values")))
+        formats.json_document(data, formats.RANDOM_FUNCTIONAL_FORMAT)
+        space = SampleSpace(formats.json_typed(data["horizon"], int, "horizon"))
+        values = formats.json_typed(data["values"], list, "values")
+        return cls(space, formats.json_complex(values))
 
 
 def constant(space: SampleSpace, value: complex = 1.0) -> RandomFunctional:

@@ -17,18 +17,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .functionals import (
-    FockCoefficients,
-    GrowthCertificate,
-    dual_norm_bound,
-    fit_growth_values,
-    json_document,
-    json_typed,
-)
+from . import formats
+from .functionals import (FockCoefficients, GrowthCertificate, dual_norm_bound,
+                          fit_growth_values)
 from .rademacher import RandomFunctional, fwht
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
-
-SEQUENCE_FORMAT = "fock-sequence/v1"
 
 DEFAULT_TOL = 1e-9
 
@@ -78,15 +71,13 @@ class FunctionalSequence:
                            np.dtype((np.complex128, domain.size)), len(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": SEQUENCE_FORMAT,
-            "terms": [phi.to_json_dict() for phi in self.terms],
-        }
+        return {"format": formats.SEQUENCE_FORMAT,
+                "terms": [phi.to_json_dict() for phi in self.terms]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FunctionalSequence":
-        json_document(data, SEQUENCE_FORMAT)
-        terms = json_typed(data["terms"], list, "terms")
+        formats.json_document(data, formats.SEQUENCE_FORMAT)
+        terms = formats.json_typed(data["terms"], list, "terms")
         return cls([FockCoefficients.from_json_dict(t) for t in terms])
 
 
@@ -144,19 +135,21 @@ class ConvergenceVerdict:
         if self.status is ConvergenceStatus.DIVERGED:
             assert self.witness is not None
 
-    def to_json_dict(self) -> dict:
+    def to_document(self) -> dict:
+        """The verdict's JSON report, for formats.write; its limit is a
+        fock-coefficients/v1 document."""
         out: dict = {"status": self.status.value, "tail_start": self.tail_start}
         if self.limit is not None:
-            out["limit"] = self.limit.to_json_dict()
+            out["limit"] = self.limit.to_document()
         if self.uniform_certificate is not None:
-            out["certificate"] = {
-                "scale": self.uniform_certificate.scale,
-                "order": self.uniform_certificate.order,
-            }
+            cert = self.uniform_certificate
+            out["certificate"] = {"scale": cert.scale, "order": cert.order}
         if self.witness is not None:
             sigma, reason = self.witness
             out["witness"] = {"sigma": sigma.to_json(), "reason": reason}
         return out
+
+    to_json_dict = formats.as_dict
 
 
 def is_generalized_martingale(

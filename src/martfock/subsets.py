@@ -58,7 +58,7 @@ class FiniteSubset:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return tuple(mask_elements(self.mask))
+        return tuple(k for k in range(self.mask.bit_length()) if self.mask >> k & 1)
 
     def max_element(self) -> int | None:
         """Largest element, or None for the empty set."""
@@ -87,48 +87,15 @@ class FiniteSubset:
 
     @classmethod
     def from_json(cls, data: list[int]) -> "FiniteSubset":
-        """Inverse of to_json; see json_mask for what is accepted."""
-        return cls(json_mask(data))
+        """Inverse of to_json; see formats.json_masks for what is accepted."""
+        from .formats import json_masks  # here, so this module loads on its own
+        return cls(int(json_masks([data])[0]))
 
     def __repr__(self) -> str:
         return f"FiniteSubset({{{', '.join(map(str, self.elements))}}})"
 
 
 EMPTY = FiniteSubset(0)
-
-
-# _BYTE_ELEMENTS[j][b]: the elements that byte value b contributes at byte j.
-_BYTE_ELEMENTS = [[[k + 8 * j for k in range(8) if b >> k & 1] for b in range(256)]
-                  for j in range(8)]
-
-
-def mask_elements(mask: int) -> list[int]:
-    """Elements of the subset with this bitmask (0 <= mask < 2^64), ascending
-    (its JSON form); a new list, read off one byte at a time."""
-    out: list[int] = []
-    j = 0
-    while mask > 0:
-        out += _BYTE_ELEMENTS[j][mask & 255]
-        mask >>= 8
-        j += 1
-    return out
-
-
-def json_mask(data: list[int]) -> int:
-    """Bitmask of a subset given in JSON form: a strictly ascending list of
-    ints (bools excluded) in 0..63.  Raises ValueError for anything else."""
-    if type(data) is not list:
-        raise ValueError(f"subset must be a JSON array of ints, got {data!r}")
-    mask = 0
-    for k in data:
-        if type(k) is not int:
-            raise ValueError(f"subset element {k!r} is not an int")
-        if not 0 <= k <= MAX_INDEX:
-            raise ValueError(f"element {k} outside supported index range 0..{MAX_INDEX}")
-        if mask >> k:
-            raise ValueError(f"subset array must be strictly ascending: {data!r}")
-        mask |= 1 << k
-    return mask
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -303,6 +305,49 @@ class TestConverge:
             captured = capsys.readouterr()
             assert captured.out == "" and not out.exists()
             assert captured.err == f"error: tol must be finite and nonnegative, got {float(tol)}\n"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["approx", "converge"])
+    @pytest.mark.parametrize("missing", ["--csv", "--out"])
+    def test_two_outputs_are_written_or_neither(self, command, missing, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        if command == "approx":
+            write_json(src, indicator_functional(2).to_json_dict())
+            argv = ["approx", "--in", str(src), "--n", "1"]
+        else:
+            terms = [indicator_functional(n) for n in range(4)]
+            write_json(src, FunctionalSequence(terms).to_json_dict())
+            argv = ["converge", "--in", str(src)]
+        paths = {"--out": tmp_path / "a.json", "--csv": tmp_path / "r.csv"}
+        unwritable = {**paths, missing: tmp_path / "missing" / "dir" / "file"}
+        assert main([*argv, *(str(x) for item in unwritable.items() for x in item)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+        # Both land once both can be written, and no temporary file is left.
+        assert main([*argv, *(str(x) for item in paths.items() for x in item)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "in.json", "r.csv"]
+
+    def test_links_and_special_files_are_written_through(self, tmp_path):
+        # A symlink keeps pointing at its target, which gets the bytes; a pipe
+        # is written in place, never replaced by a regular file.
+        src, real, link = tmp_path / "in.json", tmp_path / "real.json", tmp_path / "link.json"
+        write_json(src, indicator_functional(2).to_json_dict())
+        link.symlink_to(real)
+        argv = ["approx", "--in", str(src), "--n", "1"]
+        assert main([*argv, "--out", str(link), "--csv", str(tmp_path / "r.csv")]) == 0
+        assert link.is_symlink() and json.loads(real.read_text())["support_bound"] == 2
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)
+        reader.start()
+        assert main([*argv, "--out", str(pipe), "--csv", str(tmp_path / "r.csv")]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and read == [real.read_text()]
+        assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
 
 
 class TestApprox:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martfock import subsets
+from martfock import formats, subsets
 from martfock.convolution import all_ones, approximate, approximation_residual, residual_curve
 from martfock.functionals import FockCoefficients, fit_growth, pairing, sobolev_norm
 from martfock.rademacher import (
@@ -186,11 +186,24 @@ def test_peak_within_four_times_the_largest_plan(name, monkeypatch):
     assert requests and peak <= 4 * max(requests)
 
 
+@pytest.mark.parametrize("kind", ["coefficients", "values"])
+def test_writing_a_document_holds_at_most_half_its_size(kind, tmp_path):
+    # 2^16 rows, written a block of rows at a time: the traced peak is a few
+    # blocks, not the document's text.
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+    table = (FockCoefficients.from_vector(values, 15) if kind == "coefficients"
+             else RandomFunctional(SampleSpace(15), values))
+    path = tmp_path / "doc.json"
+    peak = traced_peak(lambda: formats.write(table.to_document(), str(path)))
+    assert peak <= path.stat().st_size / 2
+
+
 CHILD = textwrap.dedent("""
     import resource, sys
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     sys.path.insert(0, sys.argv[1])
-    from martfock import subsets
+    from martfock import formats, subsets
     subsets.MEMORY_BUDGET = 256 << 20
     from martfock.cli import main
     sys.exit(main(sys.argv[2:]))

@@ -160,14 +160,18 @@ def test_json_round_trip(table, bound):
             FockCoefficients(table, support_bound=bound)
         return
     phi, oracle = FockCoefficients(table, support_bound=bound), DictTable(table, bound)
-    data = phi.to_json_dict()
-    assert repr(data) == repr(oracle.to_json_dict())
     finite = all(math.isfinite(v.real) and math.isfinite(v.imag)
                  for v in table.values())
-    if not finite:  # the strict loader refuses NaN and infinities
+    if not finite:  # the writer and the strict loader refuse NaN and infinities
         with pytest.raises(ValueError):
-            FockCoefficients.from_json_dict(json.loads(json.dumps(data)))
+            phi.to_json_dict()
+        with pytest.raises(ValueError):
+            FockCoefficients.from_json_dict(json.loads(json.dumps(oracle.to_json_dict())))
         return
+    # to_json_dict reads back the canonical bytes, so its keys are sorted;
+    # json.dumps still tells -0.0 from 0.0 and 1 from 1.0, as repr does.
+    data = phi.to_json_dict()
+    assert json.dumps(data) == json.dumps(oracle.to_json_dict(), sort_keys=True)
     back = FockCoefficients.from_json_dict(json.loads(json.dumps(data)))
     same(back, DictTable({s: v for s, v in table.items() if v != 0},
                          oracle.support_bound))
