@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import formats, subsets
 from .convolution import approximate, residual_curve
 from .functionals import FockCoefficients
@@ -67,13 +69,13 @@ def cmd_series(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    f = RandomFunctional.from_json_dict(formats.load_json(args.input))
+    f = RandomFunctional.from_json_dict(formats.load_json(args.input, sigma=False))
     formats.write(chaos_expand(f).to_document(), args.out)
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    c = FockCoefficients.from_json_dict(formats.load_json(args.input))
+    c = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
     f = synthesize(c, SampleSpace(c.support_bound if args.horizon is None else args.horizon))
     formats.write(f.to_document(), args.out)
     return EXIT_OK
@@ -85,7 +87,7 @@ def _sequence_domain(seq: FunctionalSequence, horizon: int | None) -> TruncatedD
 
 
 def cmd_martingale_check(args) -> int:
-    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input))
+    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = _sequence_domain(seq, args.horizon)
     ok, witness = is_generalized_martingale(seq, domain, args.tol)
     report = {"passed": ok, "tol": args.tol, "horizon": domain.max_index}
@@ -96,37 +98,35 @@ def cmd_martingale_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _write_diagnostics_csv(path: str, diagnostics, max_index: int) -> None:
-    """The rows csv.writer writes, one string per block of masks: a sigma cell
+def _write_diagnostics_csv(path: str, diagnostics) -> None:
+    """The rows csv.writer writes, BLOCK_ROWS masks at a time: a sigma cell
     is json.dumps of the element list, quoted once it holds a comma."""
-    rows = zip(diagnostics.stabilization_index.tolist(), diagnostics.sup_abs.tolist(),
-               diagnostics.certificate_margin.tolist())
+    columns = (diagnostics.stabilization_index, diagnostics.sup_abs,
+               diagnostics.certificate_margin)
+    texts, block = formats.sigma_texts(", "), formats.BLOCK_ROWS
     with open(path, "w", newline="") as handle:
         handle.write("sigma,stabilization_index,sup_abs,certificate_margin\r\n")
-        handle.write("[],%d,%.17g,%.17g\r\n" % next(rows))
-        # Masks in [2^k, 2^(k+1)) are the masks below 2^k with k added.
-        elements = [""]
-        for k in map(str, range(max_index + 1)):
-            block = [k] + [s + ", " + k for s in elements[1:]]
-            elements += block
+        for start in range(0, len(diagnostics), block):
+            masks = np.arange(start, min(start + block, len(diagnostics)), dtype=np.uint64)
+            rows = zip(texts(masks), *(c[start:start + block].tolist() for c in columns))
             handle.write("".join([
-                ('"[%s]",%d,%.17g,%.17g\r\n' if "," in s else "[%s],%d,%.17g,%.17g\r\n")
-                % (s, *row) for s, row in zip(block, rows)]))
+                ('"[%s]",%d,%.17g,%.17g\r\n' if "," in row[0] else "[%s],%d,%.17g,%.17g\r\n")
+                % row for row in rows]))
 
 
 def cmd_converge(args) -> int:
-    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input))
+    seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = _sequence_domain(seq, args.horizon)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
     with formats.staged(args.out, args.csv) as (out, csv):
         formats.write(verdict.to_document(), out)
         if csv:
-            _write_diagnostics_csv(csv, verdict.diagnostics, domain.max_index)
+            _write_diagnostics_csv(csv, verdict.diagnostics)
     return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL
 
 
 def cmd_approx(args) -> int:
-    phi = FockCoefficients.from_json_dict(formats.load_json(args.input))
+    phi = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = TruncatedDomain(phi.support_bound if args.horizon is None else args.horizon)
     approx = approximate(phi, args.level).restricted(domain)
     # The residuals come first, so a call that fails on them writes nothing.

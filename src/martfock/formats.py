@@ -2,11 +2,19 @@
 
 Reading.  json.loads is the only parser.  The json_* readers check what it
 returns strictly: wrong JSON types (a bool is not an int), malformed subsets
-and non-finite numbers raise ValueError.  json_masks decodes every subset of
-a table at once.
+and non-finite numbers raise ValueError.  json_table decodes a table's rows
+BLOCK_ROWS at a time, by json_complex and json_masks, into the columns of a
+Table.  load_json does so while json.loads runs: its object_hook moves each
+row object into a buffer and leaves one shared placeholder in its place, so
+no row dict outlives its block, and each object with a format field takes
+as its table the columns of the rows parsed since the previous one.  A file
+read so peaks at about twice its size: its bytes and its text, for a moment.
+When a row lies outside its document's table, or a block is refused, the
+text is parsed again plainly, and json_table then reads (or refuses) the
+lists as it would a dict built by hand.
 
-Writing.  A document is a dict of JSON values in which a table's rows are
-given as Rows.  write emits its canonical form: the bytes of
+Writing.  A document is a dict of JSON values in which a table is given as
+a Table.  write emits its canonical form: the bytes of
 json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 followed by a newline.  Small values go through json.dumps; rows are written
 BLOCK_ROWS at a time from %-templates over .tolist() columns, so no text as
@@ -36,9 +44,37 @@ _VALUE_ROW = '{"im":%r,"re":%r}'
 _INDICES = set(range(64))  # a subset's elements: the bits of a uint64 mask
 
 
-def load_json(path: str):
-    """The JSON value in the file at path."""
-    return json.loads(Path(path).read_text())
+def load_json(path: str, sigma: bool):
+    """The JSON value in the file at path, in which each document's table
+    (its "coefficients" rows, each with a sigma, or else its "values" rows)
+    is a Table, decoded a block of rows at a time while json.loads runs."""
+    text, pending, blocks = Path(path).read_text(), [], []
+    key = "coefficients" if sigma else "values"  # where a document holds its table
+
+    def hook(obj: dict):
+        if "format" not in obj:  # a row, or else the file is parsed again
+            pending.append(obj)
+            if len(pending) == BLOCK_ROWS:
+                blocks.append(_decode(pending, sigma))
+                pending.clear()
+            return _ROW
+        if pending or blocks:  # its table holds exactly the rows since the last one
+            blocks.append(_decode(pending, sigma))
+            n = sum(values.size for values, _ in blocks)
+            if type(rows := obj.get(key)) is not list or len(rows) != n or rows.count(_ROW) != n:
+                raise ValueError("a row outside its document's table")
+            obj[key] = _table(blocks, sigma)
+            del blocks[:], pending[:]
+        return obj
+
+    try:
+        data = json.loads(text, object_hook=hook)
+    except (KeyError, ValueError):  # a row outside its table, a refused block, bad JSON
+        return json.loads(text)
+    return json.loads(text) if pending or blocks else data  # rows outside every document
+
+
+_ROW = object()  # what load_json's parse keeps of a row once it is buffered
 
 
 def json_document(data, fmt: str) -> dict:
@@ -77,49 +113,66 @@ def json_complex(rows: list) -> np.ndarray:
 
 
 def json_masks(subsets: list) -> np.ndarray:
-    """uint64 bitmasks of subsets in JSON form, decoded BLOCK_ROWS at a time
-    (so the temporaries stay small).  Each must be a strictly ascending list
-    of ints (bools excluded) in 0..63; anything else raises ValueError."""
-    masks = np.zeros(len(subsets), dtype=np.uint64)
-    for start in range(0, len(subsets), BLOCK_ROWS):
-        block = subsets[start:start + BLOCK_ROWS]
-        if not set(map(type, block)) <= {list}:
-            raise ValueError("every subset must be a JSON array")
-        flat = list(chain.from_iterable(block))
-        if not (set(map(type, flat)) <= {int} and set(flat) <= _INDICES):
-            raise ValueError("subset elements must be JSON ints in 0..63")
-        elements = np.frombuffer(bytes(flat), dtype=np.uint8)
-        lengths = np.fromiter(map(len, block), np.intp, len(block))
-        rows = np.repeat(np.arange(len(block)), lengths)
-        # Row r's element k has key 64r + k: keys ascend iff each row does.
-        if np.any(np.diff(rows * 64 + elements) <= 0):
-            raise ValueError("subset arrays must be strictly ascending")
-        bits = np.left_shift(np.uint64(1), elements.astype(np.uint64))
-        out, starts = masks[start:start + BLOCK_ROWS], np.cumsum(lengths) - lengths
-        out[lengths > 0] = np.bitwise_or.reduceat(bits, starts[lengths > 0])
+    """uint64 bitmasks of a block of subsets in JSON form.  Each must be a
+    strictly ascending list of ints (bools excluded) in 0..63; anything else
+    raises ValueError."""
+    if not set(map(type, subsets)) <= {list}:
+        raise ValueError("every subset must be a JSON array")
+    flat = list(chain.from_iterable(subsets))
+    if not (set(map(type, flat)) <= {int} and set(flat) <= _INDICES):
+        raise ValueError("subset elements must be JSON ints in 0..63")
+    elements = np.frombuffer(bytes(flat), dtype=np.uint8)
+    lengths = np.fromiter(map(len, subsets), np.intp, len(subsets))
+    rows = np.repeat(np.arange(len(subsets)), lengths)
+    # Row r's element k has key 64r + k: keys ascend iff each row does.
+    if np.any(np.diff(rows * 64 + elements) <= 0):
+        raise ValueError("subset arrays must be strictly ascending")
+    bits = np.left_shift(np.uint64(1), elements.astype(np.uint64))
+    masks, starts = np.zeros(len(subsets), dtype=np.uint64), np.cumsum(lengths) - lengths
+    masks[lengths > 0] = np.bitwise_or.reduceat(bits, starts[lengths > 0])
     return masks
 
 
-class Rows:
-    """A table's rows in a document, iterated as text a block of rows at a
-    time: {"im", "re", "sigma"} rows of the nonzero values when their
-    ascending uint64 masks are given, else {"im", "re"} rows of every value."""
+def _decode(rows: list, sigma: bool) -> tuple:
+    """The values and (given sigma) the masks of one block of rows."""
+    return json_complex(rows), json_masks([row["sigma"] for row in rows]) if sigma else None
+
+
+def _table(blocks: list, sigma: bool) -> "Table":
+    values, masks = zip(*blocks or [_decode([], sigma)])
+    return Table(np.concatenate(values), np.concatenate(masks) if sigma else None)
+
+
+def json_table(rows, name: str, sigma: bool) -> "Table":
+    """The columns of a document's table: rows as load_json gives them, or a
+    JSON list of row objects {"re", "im"} (and "sigma", given sigma),
+    decoded here a block at a time."""
+    if isinstance(rows, Table):
+        return rows
+    json_typed(rows, list, name)
+    return _table([_decode(rows[i:i + BLOCK_ROWS], sigma)
+                   for i in range(0, len(rows), BLOCK_ROWS)], sigma)
+
+
+class Table:
+    """A table of a document as columns: complex values and, for rows with a
+    sigma, their uint64 masks (ascending, to be written).  Iterated, it is
+    the rows' text a block of rows at a time: {"im", "re", "sigma"} rows of
+    the nonzero values when there are masks, else {"im", "re"} rows of every
+    value."""
 
     def __init__(self, values: np.ndarray, masks: np.ndarray | None = None):
         self.values, self.masks = values, masks
 
     def __iter__(self):
         template = _VALUE_ROW if self.masks is None else _FOCK_ROW
-        low, opening = [""], "["
-        if self.masks is not None:  # low[m]: the sigma text of m < 2^10, by doubling
-            for k in map(str, range(_LOW_BITS)):  # [2^k, 2^(k+1)): those below, and k
-                low += [k] + [t + "," + k for t in low[1:]]
+        texts, opening = sigma_texts(","), "["
         for start in range(0, self.values.size, BLOCK_ROWS):
             values, sigmas = self.values[start:start + BLOCK_ROWS], []
             if self.masks is not None:
                 keep = np.flatnonzero(values)
                 values = values[keep]
-                sigmas = [_sigma_texts(self.masks[start:start + BLOCK_ROWS][keep], low)]
+                sigmas = [texts(self.masks[start:start + BLOCK_ROWS][keep])]
             rows = zip(values.imag.tolist(), values.real.tolist(), *sigmas)
             text = ",".join(map(template.__mod__, rows))
             if text:
@@ -128,26 +181,34 @@ class Rows:
         yield "]" if opening == "," else "[]"
 
 
-def _sigma_texts(masks: np.ndarray, low: list[str]) -> list[str]:
-    """The elements of each ascending mask, comma-separated: the low bits'
-    text from the table, then the elements of the higher bits appended, once
-    per run of masks that share them."""
-    texts = [low[m] for m in (masks & ((1 << _LOW_BITS) - 1)).tolist()]
-    high = masks >> _LOW_BITS
-    edges = [0, *(np.flatnonzero(high[1:] != high[:-1]) + 1).tolist(), len(texts)]
-    for a, b in zip(edges, edges[1:]) if texts else ():
-        h = int(high[a])
-        if h:
-            tail = "".join(f",{k + _LOW_BITS}" for k in range(h.bit_length()) if h >> k & 1)
-            texts[a:b] = [t + tail for t in texts[a:b]]
-            texts[a] = texts[a].removeprefix(",")  # a mask whose low bits are all 0
+def sigma_texts(sep: str):
+    """A function from ascending uint64 masks to their elements' texts, each
+    joined by sep: the low bits' text from a table of 2^10 built by doubling,
+    then the elements of the higher bits appended, once per run of masks
+    that share them."""
+    low = [""]
+    for k in map(str, range(_LOW_BITS)):  # [2^k, 2^(k+1)): those below, and k
+        low += [k] + [t + sep + k for t in low[1:]]
+
+    def texts(masks: np.ndarray) -> list[str]:
+        out = [low[m] for m in (masks & ((1 << _LOW_BITS) - 1)).tolist()]
+        high = masks >> _LOW_BITS
+        edges = [0, *(np.flatnonzero(high[1:] != high[:-1]) + 1).tolist(), len(out)]
+        for a, b in zip(edges, edges[1:]) if out else ():
+            h = int(high[a])
+            if h:
+                tail = "".join(f"{sep}{k + _LOW_BITS}"
+                               for k in range(h.bit_length()) if h >> k & 1)
+                out[a:b] = [t + tail for t in out[a:b]]
+                out[a] = out[a].removeprefix(sep)  # a mask whose low bits are all 0
+        return out
     return texts
 
 
 def _pieces(value) -> list:
-    """The canonical text of value, as a list of iterables of strings (a Rows
+    """The canonical text of value, as a list of iterables of strings (a Table
     is one).  Every check of the document runs here, before any is written."""
-    if isinstance(value, Rows):
+    if isinstance(value, Table):
         if not np.isfinite(value.values).all():
             raise ValueError("a JSON document cannot hold a non-finite value")
         return [value]

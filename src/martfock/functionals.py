@@ -221,7 +221,7 @@ class FockCoefficients:
         coefficients in ascending mask order (a rule has none; see _table)."""
         masks, values = self._table()
         return {"format": formats.FOCK_FORMAT, "support_bound": self.support_bound,
-                "coefficients": formats.Rows(values, masks)}
+                "coefficients": formats.Table(values, masks)}
 
     to_json_dict = formats.as_dict
 
@@ -231,11 +231,9 @@ class FockCoefficients:
         bound = data.get("support_bound")
         if bound is not None:
             formats.json_typed(bound, int, "support_bound")
-        rows = formats.json_typed(data["coefficients"], list, "coefficients")
-        values = formats.json_complex(rows)
-        masks = formats.json_masks([row["sigma"] for row in rows])
-        order = np.argsort(masks)
-        masks, values = masks[order], values[order]
+        table = formats.json_table(data["coefficients"], "coefficients", sigma=True)
+        order = np.argsort(table.masks)
+        masks, values = table.masks[order], table.values[order]
         repeated = masks[1:][masks[1:] == masks[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate sigma {list(FiniteSubset(int(repeated[0])))} in file")

@@ -65,7 +65,7 @@ class RandomFunctional:
     def to_document(self) -> dict:
         """The random-functional/v1 document, for formats.write."""
         return {"format": formats.RANDOM_FUNCTIONAL_FORMAT, "horizon": self.space.horizon,
-                "values": formats.Rows(self.values)}
+                "values": formats.Table(self.values)}
 
     to_json_dict = formats.as_dict
 
@@ -73,8 +73,7 @@ class RandomFunctional:
     def from_json_dict(cls, data: dict) -> "RandomFunctional":
         formats.json_document(data, formats.RANDOM_FUNCTIONAL_FORMAT)
         space = SampleSpace(formats.json_typed(data["horizon"], int, "horizon"))
-        values = formats.json_typed(data["values"], list, "values")
-        return cls(space, formats.json_complex(values))
+        return cls(space, formats.json_table(data["values"], "values", sigma=False).values)
 
 
 def constant(space: SampleSpace, value: complex = 1.0) -> RandomFunctional:
@@ -123,14 +122,14 @@ def fwht(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {n}")
     if not np.isfinite(v.view(np.float64)).all():  # real and imaginary parts
         raise ValueError("Walsh-Hadamard transform input holds a non-finite value")
-    h = 1
+    h, scratch = 1, np.empty(n // 2, dtype=np.complex128)
     with float_checked("Walsh-Hadamard transform overflows float64"):
-        while h < n:
-            v = v.reshape(-1, 2 * h)
-            top = v[:, :h].copy()
-            v[:, :h] = top + v[:, h:]
-            v[:, h:] = top - v[:, h:]
-            v = v.reshape(n)
+        while h < n:  # butterflies (a, b) -> (a + b, a - b) on halves of blocks of 2h
+            pairs, diff = v.reshape(-1, 2 * h), scratch.reshape(-1, h)
+            top, bottom = pairs[:, :h], pairs[:, h:]
+            np.subtract(top, bottom, out=diff)
+            top += bottom
+            bottom[...] = diff
             h *= 2
     return v
 

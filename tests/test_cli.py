@@ -9,15 +9,17 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from martfock import cli, formats
 from martfock.cli import main
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
 from martfock.functionals import FockCoefficients
 from martfock.rademacher import RandomFunctional, SampleSpace, constant, random_functional
-from martfock.sequences import FunctionalSequence, strong_convergence_test
+from martfock.sequences import FunctionalSequence, SigmaDiagnostics, strong_convergence_test
 from martfock.subsets import FiniteSubset, TruncatedDomain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -233,6 +235,21 @@ class TestConverge:
         assert all(math.isfinite(m) or math.isnan(m) for m in margins)
         assert any(math.isnan(m) for m in margins)
         assert overflowed == [("huge", 2)]
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_csv_blocks_and_high_bits_match_csv_writer(self, block, tmp_path):
+        # sigma texts past the 2^10 low-bit table, written a few masks at a time
+        rng = np.random.default_rng(block)
+        for max_index in (0, 9, 11):
+            n = 2 << max_index
+            margins = rng.standard_normal(n)
+            margins[::7] = math.nan
+            diagnostics = SigmaDiagnostics(rng.integers(0, 12, n), rng.random(n) * 1e300,
+                                           margins)
+            path = tmp_path / f"diag{max_index}.csv"
+            with mock.patch.object(formats, "BLOCK_ROWS", block):
+                cli._write_diagnostics_csv(str(path), diagnostics)
+            assert path.read_bytes() == self.csv_reference(diagnostics)
 
     def test_diverging_sequence(self, tmp_path, capsys):
         terms = [FockCoefficients({FiniteSubset(0): float(n)}, support_bound=2)

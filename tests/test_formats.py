@@ -1,12 +1,16 @@
 """martfock.formats against independent references: the canonical writer
-against json.dumps of a dict built here from table_items() or .values, and
-the vectorised mask decoder against json_mask, the per-subset decoder it
-replaced, kept below as the oracle."""
+against json.dumps of a dict built here from table_items() or .values, the
+vectorised mask decoder against json_mask, the per-subset decoder it
+replaced, and the streamed reader against json.loads plus json_complex and
+json_masks over each whole table, the reading it replaced.  The replaced
+decoders are kept below as the oracles."""
 
 import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from martfock import formats
 from martfock.functionals import FockCoefficients, GrowthCertificate
 from martfock.rademacher import RandomFunctional, SampleSpace
-from martfock.sequences import ConvergenceStatus, ConvergenceVerdict
+from martfock.sequences import ConvergenceStatus, ConvergenceVerdict, FunctionalSequence
 from martfock.subsets import FiniteSubset
 
 TOP = (1 << 64) - 1
@@ -173,23 +177,182 @@ any_subset = st.one_of(well_formed, st.lists(elements, max_size=5),
 
 
 @settings(max_examples=150)
-@given(st.one_of(st.lists(well_formed, max_size=12), st.lists(any_subset, max_size=8)), blocks)
-@example([], formats.BLOCK_ROWS)
-@example([[], [63], [], [0, 63], []], 2)
-@example([[0, 5], [1], [3, 2]], formats.BLOCK_ROWS)
-@example([[0, 5], [6, 6]], 1)
-@example([[5], [0], [2 ** 64]], 2)
-@example([[0, 63], [64]], formats.BLOCK_ROWS)
-@example([[2, 70]], 1)
-@example([[-1, 3]], formats.BLOCK_ROWS)
-@example([[1], [True]], formats.BLOCK_ROWS)
-def test_mask_decoder_refuses_and_decodes_as_json_mask(subsets, block):
+@given(st.one_of(st.lists(well_formed, max_size=12), st.lists(any_subset, max_size=8)))
+@example([])
+@example([[], [63], [], [0, 63], []])
+@example([[0, 5], [1], [3, 2]])
+@example([[0, 5], [6, 6]])
+@example([[5], [0], [2 ** 64]])
+@example([[0, 63], [64]])
+@example([[2, 70]])
+@example([[-1, 3]])
+@example([[1], [True]])
+def test_mask_decoder_refuses_and_decodes_as_json_mask(subsets):
     try:
         want = [json_mask(s) for s in subsets]
     except ValueError:
-        with mock.patch.object(formats, "BLOCK_ROWS", block), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             formats.json_masks(subsets)
         return
-    with mock.patch.object(formats, "BLOCK_ROWS", block):
-        got = formats.json_masks(subsets)
+    got = formats.json_masks(subsets)
     assert got.dtype == np.uint64 and got.tolist() == want
+
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs in text order; a key may repeat."""
+
+
+def dumps(value) -> str:
+    if isinstance(value, Obj):
+        return "{" + ",".join(f"{json.dumps(k)}:{dumps(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(dumps, value)) + "]"
+    return json.dumps(value)  # NaN and Infinity as json.dumps writes them
+
+
+def oracle_table(rows, name, sigma):
+    """The reading load_json replaced: every row of the list at once."""
+    rows = formats.json_typed(rows, list, name)
+    values = formats.json_complex(rows)
+    return values, formats.json_masks([row["sigma"] for row in rows]) if sigma else None
+
+
+def streamed_table(rows, name, sigma):
+    table = formats.json_table(rows, name, sigma)
+    return table.values, table.masks
+
+
+def tables(data, sigma, read):
+    """The tables of a document as the readers take them: the values of a
+    random-functional/v1 document without sigma; else the coefficients of a
+    fock-sequence/v1 document's terms, or of a fock-coefficients/v1 one."""
+    if not sigma:
+        return [read(formats.json_document(data, formats.RANDOM_FUNCTIONAL_FORMAT)["values"],
+                     "values", False)]
+    if type(data) is dict and data.get("format") == formats.SEQUENCE_FORMAT:
+        terms = formats.json_typed(data["terms"], list, "terms")
+    else:
+        terms = [data]
+    return [read(formats.json_document(t, formats.FOCK_FORMAT)["coefficients"],
+                 "coefficients", True) for t in terms]
+
+
+def outcome(call, messages=False):
+    """What call gives, as bits, or that it refused (and, given messages, why)."""
+    try:
+        result = call()
+    except (KeyError, ValueError) as exc:
+        return f"refused {exc!r}" if messages else "refused"
+    if isinstance(result, list):
+        return [(v.view(np.uint64).tolist(), None if m is None else m.tolist())
+                for v, m in result]
+    return json.dumps(result.to_json_dict())
+
+
+def load(text: str, sigma: bool):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        return formats.load_json(str(path), sigma=sigma)
+
+
+numbers = st.one_of(parts, st.sampled_from([1, -7, 2 ** 70, 10 ** 400, True, "1", None,
+                                            math.nan, -math.inf]))
+good_rows = st.builds(lambda re, im, sigma: Obj([("re", re), ("im", im), ("sigma", sigma)]),
+                      parts, parts, well_formed)
+row_keys = st.sampled_from(["re", "im", "sigma", "note"])
+odd_rows = st.recursive(
+    st.lists(st.tuples(row_keys, st.one_of(numbers, any_subset)), max_size=5).map(Obj),
+    lambda inner: st.lists(st.tuples(row_keys, st.one_of(numbers, any_subset, inner)),
+                           max_size=5).map(Obj), max_leaves=6)
+rows = st.one_of(st.lists(good_rows, max_size=10),
+                 st.lists(st.one_of(good_rows, odd_rows, numbers, any_subset), max_size=6))
+
+
+@st.composite
+def documents(draw, fmt, key):
+    """A document of rows, now and then with a pair moved, repeated, or added
+    (a row-shaped object outside the table, a second table)."""
+    pairs = [("format", fmt), ("support_bound", 5), ("horizon", 1), (key, draw(rows))]
+    pairs += draw(st.lists(st.tuples(st.sampled_from([key, "note"]),
+                                     st.one_of(rows, good_rows, odd_rows)), max_size=2))
+    return Obj(draw(st.permutations(pairs)))
+
+
+sequences = st.builds(
+    lambda terms: Obj([("format", formats.SEQUENCE_FORMAT), ("terms", terms)]),
+    st.lists(st.one_of(documents(formats.FOCK_FORMAT, "coefficients"), good_rows,
+                       odd_rows), max_size=4))
+inputs = st.one_of(
+    st.tuples(st.one_of(documents(formats.FOCK_FORMAT, "coefficients"), sequences,
+                        documents(formats.RANDOM_FUNCTIONAL_FORMAT, "coefficients"),
+                        good_rows, odd_rows, rows), st.just(True)),
+    st.tuples(st.one_of(documents(formats.RANDOM_FUNCTIONAL_FORMAT, "values"),
+                        documents(formats.FOCK_FORMAT, "values"), good_rows), st.just(False)))
+READERS = {formats.FOCK_FORMAT: FockCoefficients, formats.SEQUENCE_FORMAT: FunctionalSequence,
+           formats.RANDOM_FUNCTIONAL_FORMAT: RandomFunctional}
+ROW = Obj([("re", 1.5), ("im", -0.0), ("sigma", [0, 2])])
+
+
+def fock_doc(*pairs):
+    return Obj([("format", formats.FOCK_FORMAT), *pairs])
+
+
+@settings(max_examples=250, deadline=None)
+@given(inputs, blocks)
+@example((fock_doc(("coefficients", [ROW, Obj(), ROW])), True), 1)  # {} as a row
+@example((fock_doc(("coefficients", [ROW, 3, ROW])), True), 2)  # not an object
+@example((fock_doc(("coefficients", [Obj([("re", 1), ("sigma", [])])])), True), 3)  # no im
+@example((fock_doc(("coefficients", [Obj([("re", 1), ("im", 0)])])), True), 1)  # no sigma
+@example((fock_doc(("coefficients", [Obj([*ROW, ("re", 2), ("sigma", [5])])])), True), 2)
+@example((fock_doc(("coefficients", [ROW]), ("coefficients", [ROW, ROW])), True), 1)
+@example((fock_doc(("note", ROW), ("coefficients", [ROW, ROW, ROW])), True), 3)
+@example((fock_doc(("note", ROW), ("coefficients", [3])), True), 2)
+@example((fock_doc(("coefficients", [ROW] * 3), ("note", Obj([("re", "x")]))), True), 2)
+@example((fock_doc(("coefficients", [Obj([*ROW, ("note", ROW)])] * 2)), True), 2)
+@example((ROW, True), formats.BLOCK_ROWS)  # a row where a document belongs
+@example((Obj([("format", formats.SEQUENCE_FORMAT), ("terms", [
+    fock_doc(("coefficients", [ROW] * n)) for n in (3, 0, 2, 5)])]), True), 2)
+@example((Obj([("format", formats.SEQUENCE_FORMAT), ("note", ROW), ("terms", [
+    fock_doc(("coefficients", [ROW] * 2))])]), True), 3)
+def test_streamed_reader_decodes_and_refuses_as_whole_tables(case, block):
+    tree, sigma = case
+    text = dumps(tree)
+    plain = json.loads(text)
+    with mock.patch.object(formats, "BLOCK_ROWS", block):
+        streamed = load(text, sigma)
+        want = outcome(lambda: tables(plain, sigma, oracle_table))
+        assert outcome(lambda: tables(streamed, sigma, streamed_table)) == want
+        # the classes, on the streamed value and on the plain dict: the same
+        # object, or the same refusal
+        fmt = plain.get("format") if type(plain) is dict else None
+        reader = READERS.get(fmt, FockCoefficients) if sigma else RandomFunctional
+        assert (outcome(lambda: reader.from_json_dict(streamed), messages=True)
+                == outcome(lambda: reader.from_json_dict(plain), messages=True))
+
+
+def test_well_formed_tables_are_decoded_while_parsing(tmp_path):
+    # each term keeps its own rows, across block edges
+    terms = [FockCoefficients({FiniteSubset(m): m + 0.5j for m in range(n)})
+             for n in (5, 0, 3)]
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(FunctionalSequence(terms).to_json_dict()))
+    with mock.patch.object(formats, "BLOCK_ROWS", 2):
+        data = formats.load_json(str(path), sigma=True)
+    assert data["terms"][1]["coefficients"] == []  # no rows: the list stays
+    for term, phi in zip(data["terms"][::2], terms[::2]):
+        table = term["coefficients"]
+        assert isinstance(table, formats.Table)
+        assert table.masks.tolist() == phi._masks.tolist()
+        assert table.values.tolist() == phi._values.tolist()
+
+
+def test_a_document_read_as_the_other_kind_is_parsed_again(tmp_path):
+    # its rows lie outside the table that kind looks for: plain dicts, read
+    # as the readers read any dict
+    path = tmp_path / "phi.json"
+    phi = FockCoefficients({FiniteSubset(3): 1.0, FiniteSubset(0): 2j})
+    formats.write(phi.to_document(), str(path))
+    data = formats.load_json(str(path), sigma=False)
+    assert type(data["coefficients"]) is list
+    assert FockCoefficients.from_json_dict(data).to_json_dict() == phi.to_json_dict()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martfock import formats, subsets
+from martfock import cli, formats, subsets
 from martfock.convolution import all_ones, approximate, approximation_residual, residual_curve
 from martfock.functionals import FockCoefficients, fit_growth, pairing, sobolev_norm
 from martfock.rademacher import (
@@ -31,6 +31,7 @@ from martfock.rademacher import (
 )
 from martfock.sequences import (
     FunctionalSequence,
+    SigmaDiagnostics,
     classical_to_sequence,
     is_generalized_martingale,
     martingale_limit,
@@ -197,6 +198,78 @@ def test_writing_a_document_holds_at_most_half_its_size(kind, tmp_path):
     path = tmp_path / "doc.json"
     peak = traced_peak(lambda: formats.write(table.to_document(), str(path)))
     assert peak <= path.stat().st_size / 2
+
+
+def test_writing_the_diagnostics_csv_holds_a_tenth_of_it(tmp_path):
+    # 2^17 rows, BLOCK_ROWS masks at a time: no whole-domain column of text
+    rng = np.random.default_rng(4)
+    diagnostics = SigmaDiagnostics(rng.integers(0, 12, DOMAIN.size), rng.random(DOMAIN.size),
+                                   rng.standard_normal(DOMAIN.size))
+    path = tmp_path / "diag.csv"
+    peak = traced_peak(lambda: cli._write_diagnostics_csv(str(path), diagnostics))
+    assert peak <= path.stat().st_size / 10
+
+
+def rows_document(kind: str, path: Path) -> int:
+    """Write a document of 2^16 rows (a sequence: four terms of 2^14) to path;
+    its size in bytes."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+    if kind == "values":
+        formats.write(RandomFunctional(SampleSpace(15), values).to_document(), str(path))
+    elif kind == "coefficients":
+        formats.write(FockCoefficients.from_vector(values, 15).to_document(), str(path))
+    else:
+        terms = []
+        for part in np.split(values, 4):
+            formats.write(FockCoefficients.from_vector(part, 13).to_document(), str(path))
+            terms.append(path.read_text().rstrip())
+        path.write_text('{"format":"fock-sequence/v1","terms":[' + ",".join(terms) + "]}")
+    return path.stat().st_size
+
+
+READERS = {"coefficients": (FockCoefficients, True), "values": (RandomFunctional, False),
+           "sequence": (FunctionalSequence, True)}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_reading_a_document_peaks_near_twice_its_size(kind, tmp_path):
+    # the file's bytes and text, for a moment; the rows are decoded a block
+    # at a time while json.loads runs, so no row dict outlives its block
+    path = tmp_path / "doc.json"
+    size = rows_document(kind, path)
+    cls, sigma = READERS[kind]
+    peak = traced_peak(lambda: cls.from_json_dict(formats.load_json(str(path), sigma)))
+    assert peak <= 2.1 * size
+
+
+HWM_CHILD = textwrap.dedent("""
+    import atexit, sys
+    def report():
+        with open("/proc/self/status") as status:
+            sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+    atexit.register(report)
+    sys.path.insert(0, sys.argv[1])
+    from martfock.cli import main
+    sys.exit(main(sys.argv[2:]))
+""")
+
+
+def child_vmhwm(*argv: str) -> int:
+    """The resident high-water mark, in bytes, of a CLI child running argv."""
+    done = subprocess.run([sys.executable, "-c", HWM_CHILD, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return 1024 * int(done.stderr.splitlines()[-1].split()[1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc VmHWM")
+def test_synthesize_peaks_near_a_bare_child_plus_its_input(tmp_path):
+    src = tmp_path / "phi.json"
+    size = rows_document("coefficients", src)
+    bare = child_vmhwm("lambda", "[0]")
+    peak = child_vmhwm("synthesize", "--in", str(src), "--out", str(tmp_path / "f.json"))
+    assert peak <= bare + 3 * size, (bare, peak, size)
 
 
 CHILD = textwrap.dedent("""
