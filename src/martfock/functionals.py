@@ -132,8 +132,8 @@ class FockCoefficients:
     def from_vector(cls, values: np.ndarray, support_bound: int) -> "FockCoefficients":
         """Table-backed functional from a dense coefficient vector indexed by
         bitmask; zero entries are dropped."""
-        masks = np.flatnonzero(values)
-        return cls._from_arrays(masks.astype(np.uint64),
+        masks = np.flatnonzero(values)  # nonnegative: viewed as uint64
+        return cls._from_arrays(masks.view(np.uint64),
                                 values[masks].astype(np.complex128, copy=False),
                                 support_bound, drop_zeros=False)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .rademacher import RandomFunctional, fwht
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
 
 DEFAULT_TOL = 1e-9
+# Bytes per domain mask each path plans: its tracemalloc peak at horizon 13,
+# rows read and growth fit included, rounded up to 8.  The terms are read two
+# rows at a time, so the peak is the same at 4 terms as at 32.
+PREDICATE_BYTES, LIMIT_BYTES, VERDICT_BYTES, UNIFORM_BYTES = 48, 64, 112, 64
 
 
 def _check_tol(tol: float) -> None:
@@ -63,12 +67,19 @@ class FunctionalSequence:
     def __getitem__(self, n: int) -> FockCoefficients:
         return self.terms[n]
 
+    def rows(self, domain: TruncatedDomain) -> Iterator[np.ndarray]:
+        """Each term's coefficients over the domain (values_on), one fresh
+        row at a time.  The library's verdict paths read a sequence here,
+        holding two rows, so their cost per mask does not grow with len."""
+        return (phi.values_on(domain) for phi in self.terms)
+
     def values_matrix(self, domain: TruncatedDomain) -> np.ndarray:
         """Coefficients of every term over the domain: shape (len, domain size),
-        filled row by row, so the matrix and one row are live at a time."""
+        the rows stacked, so the matrix and one row are live at a time.  For
+        callers that want every term at once; no library path builds it."""
         domain.plan(16 * (len(self) + 1))
-        return np.fromiter((phi.values_on(domain) for phi in self.terms),
-                           np.dtype((np.complex128, domain.size)), len(self))
+        return np.fromiter(self.rows(domain), np.dtype((np.complex128, domain.size)),
+                           len(self))
 
     def to_json_dict(self) -> dict:
         return {"format": formats.SEQUENCE_FORMAT,
@@ -158,27 +169,46 @@ def is_generalized_martingale(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, Optional[tuple[int, FiniteSubset]]]:
     """Check F_n = indicator(., n) * F_{n+1} over the domain for every
-    consecutive pair; returns the first violation (n, sigma) on failure."""
+    consecutive pair, two rows at a time; returns the first violation
+    (n, sigma) on failure."""
     if len(seq) < 2:
         raise InsufficientLengthError("need at least two terms to test the relation")
     _check_tol(tol)
-    witness = _martingale_witness(seq.values_matrix(domain), tol)
+    domain.plan(PREDICATE_BYTES)
+    witness = _truncation_witness(seq, domain, tol)
     return witness is None, witness
 
 
-def _martingale_witness(
-    values: np.ndarray, tol: float
-) -> Optional[tuple[int, FiniteSubset]]:
-    """First (n, sigma) where row n of the values matrix differs by more than
-    tol from row n+1 truncated to the masks below 2^(n+1), or None."""
-    for n in range(len(values) - 1):
-        truncation = values[n + 1].copy()
-        truncation[2 << n:] = 0
-        with np.errstate(over="ignore"):  # an infinite difference exceeds tol
-            bad = np.flatnonzero(np.abs(values[n] - truncation) > tol)
-        if bad.size:
-            return n, FiniteSubset(int(bad[0]))
+def _truncation_witness(seq, domain, tol, limit=None) -> Optional[tuple[int, FiniteSubset]]:
+    """First (n, sigma) where term n differs by more than tol from term n+1
+    cut to the masks below 2^(n+1), or None; the terms are read two rows at
+    a time.  Given a limit vector, each mask of it takes the value of the
+    first term that covers it."""
+    for n, row in enumerate(seq.rows(domain)):
+        if n:  # prev is spent once its tail is read: its head takes the difference
+            tail = np.flatnonzero(np.abs(prev[1 << n:]) > tol)
+            with np.errstate(over="ignore"):  # an infinite difference exceeds tol
+                head = np.flatnonzero(np.abs(np.subtract(
+                    row[:1 << n], prev[:1 << n], out=prev[:1 << n])) > tol)
+            if head.size or tail.size:
+                return n - 1, FiniteSubset(int(head[0] if head.size else (1 << n) + tail[0]))
+        if limit is not None:
+            # Masks in [2^n, 2^(n+1)) have max element n: term n first covers
+            # them (term 0 also covers the empty set).
+            limit[n and 1 << n : 2 << n] = row[n and 1 << n : 2 << n]
+        prev = row
     return None
+
+
+def _finite_abs(n: int, row: np.ndarray) -> np.ndarray:
+    """|row| of term n.  A magnitude that is not a finite float raises
+    ValueError: np.abs of a complex overflows to inf without a flag."""
+    row_abs = np.abs(row)
+    if not np.isfinite(row_abs.max()):
+        sigma = FiniteSubset(int(np.argmin(np.isfinite(row_abs))))
+        raise ValueError(f"coefficient magnitude of term {n} at {sigma!r} "
+                         "overflows the float range")
+    return row_abs
 
 
 def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
@@ -190,19 +220,6 @@ def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
         FockCoefficients.from_vector(coeffs[: 2 << n], n)
         for n in range(f.space.horizon + 1)
     ])
-
-
-def _stabilization_indices(values: np.ndarray, tol: float) -> np.ndarray:
-    """Per column: smallest index s with |values[n+1] - values[n]| <= tol for
-    every n >= s."""
-    with np.errstate(over="ignore"):  # an infinite step exceeds tol
-        diffs = np.abs(np.diff(values, axis=0)) > tol
-    k = diffs.shape[0]
-    if k == 0:
-        return np.zeros(values.shape[1], dtype=int)
-    # One past the last moving step: argmax finds the first True from the end.
-    last = k - np.argmax(diffs[::-1], axis=0)
-    return np.where(diffs.any(axis=0), last, 0)
 
 
 def strong_convergence_test(
@@ -222,69 +239,77 @@ def strong_convergence_test(
     some subset strictly increasing through the final third and exceeding
     every certificate fitted to the earlier terms.  Everything else is
     INCONCLUSIVE.
+
+    The terms are read once, in order, two rows at a time: the pass keeps
+    running columns (the sup of |F|, its copy at the generic tail start,
+    the stabilization index, the strictly-increasing tail mask, the
+    truncation check) and the last two rows.  A magnitude |F| that is not a
+    finite float raises ValueError.
     """
     if len(seq) < 3:
         raise InsufficientLengthError("need at least three terms for a verdict")
     _check_tol(tol)
     k_last = len(seq) - 1
-    values = seq.values_matrix(domain)
+    tail_start = k_last - max(2, len(seq) // 3)
+    structural = domain.max_index <= k_last  # until a pair breaks the relation
+    domain.plan(VERDICT_BYTES)
     weights = weight_vector(domain)
-    sup_abs = np.abs(values).max(axis=0)
-    stab = _stabilization_indices(values, tol)
+    sup_abs, moving = np.zeros(domain.size), np.empty(domain.size)
+    stab = np.zeros(domain.size, dtype=int)
+    grows = np.ones(domain.size, dtype=bool)  # strictly increasing from tail_start
+    for n, row in enumerate(seq.rows(domain)):
+        row_abs = _finite_abs(n, row)
+        np.maximum(sup_abs, row_abs, out=sup_abs)
+        if n:
+            with np.errstate(over="ignore"):  # an infinite step exceeds tol
+                np.abs(np.subtract(row, prev, out=prev), out=moving)
+            stab[moving > tol] = n  # one past the last moving step
+            structural = structural and not (  # the relation of terms n-1 and n
+                (moving[:1 << n] > tol).any() or (prev_abs[1 << n:] > tol).any())
+        if n > tail_start:
+            grows &= (row_abs - prev_abs) > 0  # np.diff's sign, step by step
+        elif n == tail_start:
+            head_sup = sup_abs.copy()
+        if n < k_last:
+            prev, prev_abs = row, row_abs
+    del prev, moving  # spent; the limit is row, the scan reads prev_abs
 
-    def _diagnostics(cert: Optional[GrowthCertificate]) -> SigmaDiagnostics:
-        margins = (cert.bound_at(weights) - sup_abs if cert is not None
-                   else np.full_like(sup_abs, np.nan))
-        return SigmaDiagnostics(stab, sup_abs, margins)
-
-    if domain.max_index <= k_last and _martingale_witness(values, tol) is None:
+    if structural:
         # Martingale coefficients stabilize structurally, at n = max(sigma).
-        tail_start = domain.max_index
-        settled = True
+        tail_start, settled = domain.max_index, True
     else:
-        tail_start = k_last - max(2, len(seq) // 3)
         settled = bool(np.all(stab <= tail_start))
+    witness = None
     if settled:
         _, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
-        if cert is None:
+        if cert is not None:
             return ConvergenceVerdict(
-                ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
-                diagnostics=_diagnostics(None),
+                ConvergenceStatus.CONVERGED,
+                limit=FockCoefficients.from_vector(row, domain.max_index),
+                uniform_certificate=cert, tail_start=tail_start,
+                diagnostics=SigmaDiagnostics(stab, sup_abs, cert.bound_at(weights) - sup_abs),
             )
-        return ConvergenceVerdict(
-            ConvergenceStatus.CONVERGED,
-            limit=FockCoefficients.from_vector(values[-1], domain.max_index),
-            uniform_certificate=cert,
-            tail_start=tail_start,
-            diagnostics=_diagnostics(cert),
-        )
-
-    # Divergence scan: fit certificates to the pre-tail prefix, then look for
-    # a subset whose tail magnitudes grow monotonically past every fitted bound.
-    head_sup = np.abs(values[: tail_start + 1]).max(axis=0)
-    head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
-    tail_abs = np.abs(values[tail_start:])
-    last, before = tail_abs[-1], tail_abs[-2]
-    grows = (stab > tail_start) & np.all(np.diff(tail_abs, axis=0) > 0, axis=0)
-    for p, c in head_curve.items():
-        # float_power takes libm's pow for every element, as a scalar ** does;
-        # an array ** may take a SIMD pow that differs in the last bit.  A
-        # bound that overflows to inf (or to nan, as 0 * inf) is harmless:
-        # nothing exceeds it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = c * np.float_power(weights, p)
-        grows &= (last - bound > 0) & (last - bound > before - bound)
-    if grows.any():
-        return ConvergenceVerdict(
-            ConvergenceStatus.DIVERGED,
-            witness=(FiniteSubset(int(np.argmax(grows))),
-                     "coefficient magnitudes grow past every fitted bound"),
-            tail_start=tail_start,
-            diagnostics=_diagnostics(None),
-        )
+    else:
+        # Divergence scan: fit certificates to the pre-tail prefix, then look
+        # for a subset whose tail magnitudes (row_abs is the last, prev_abs the
+        # one before) grow monotonically past every fitted bound.
+        head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
+        grows &= stab > tail_start
+        for p, c in head_curve.items():
+            # float_power takes libm's pow for every element, as a scalar **
+            # does; an array ** may take a SIMD pow that differs in the last
+            # bit.  A bound that overflows to inf (or to nan, as 0 * inf) is
+            # harmless: nothing exceeds it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = c * np.float_power(weights, p)
+            grows &= (row_abs - bound > 0) & (row_abs - bound > prev_abs - bound)
+        if grows.any():
+            witness = (FiniteSubset(int(np.argmax(grows))),
+                       "coefficient magnitudes grow past every fitted bound")
     return ConvergenceVerdict(
-        ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
-        diagnostics=_diagnostics(None),
+        ConvergenceStatus.INCONCLUSIVE if witness is None else ConvergenceStatus.DIVERGED,
+        witness=witness, tail_start=tail_start,
+        diagnostics=SigmaDiagnostics(stab, sup_abs, np.full_like(sup_abs, np.nan)),
     )
 
 
@@ -295,12 +320,13 @@ def martingale_limit(
 ) -> FockCoefficients:
     """Limit coefficients of a truncation martingale: at each subset, the
     value of the first term whose truncation level covers it (the value is
-    constant from there on)."""
+    constant from there on).  The terms are read two rows at a time."""
     if len(seq) < 2:
         raise InsufficientLengthError("need at least two terms to test the relation")
     _check_tol(tol)
-    values = seq.values_matrix(domain)
-    witness = _martingale_witness(values, tol)
+    domain.plan(LIMIT_BYTES)
+    limit = np.empty(domain.size, dtype=np.complex128)
+    witness = _truncation_witness(seq, domain, tol, limit)
     if witness is not None:
         raise NotAMartingaleError(witness)
     if domain.max_index > len(seq) - 1:
@@ -308,12 +334,7 @@ def martingale_limit(
             f"domain needs terms up to index {domain.max_index}, "
             f"sequence has {len(seq)}"
         )
-    # Masks in [2^k, 2^(k+1)) have max element k: term k first covers them.
-    return FockCoefficients.from_vector(
-        np.concatenate([values[0, :2]] + [values[k, 1 << k : 2 << k]
-                                          for k in range(1, domain.max_index + 1)]),
-        domain.max_index,
-    )
+    return FockCoefficients.from_vector(limit, domain.max_index)
 
 
 @dataclass(frozen=True)
@@ -329,12 +350,17 @@ def uniform_boundedness(
     p_grid: Sequence[float] = (0.0, 1.0, 2.0),
     dual_order: Optional[float] = None,
 ) -> Optional[UniformBound]:
-    """Fit a growth certificate to the pointwise sup of |F| over the family;
-    when one is found, also report the induced bound on the dual norms."""
+    """Fit a growth certificate to the pointwise sup of |F| over the family,
+    read one term at a time (ValueError if a magnitude is not a finite
+    float); when one is found, also report the induced bound on the dual
+    norms."""
     family = list(functionals)
     if not family:
         raise ValueError("the family must be nonempty")
-    sup_abs = np.abs(FunctionalSequence(family).values_matrix(domain)).max(axis=0)
+    domain.plan(UNIFORM_BYTES)
+    sup_abs = np.zeros(domain.size)
+    for n, row in enumerate(FunctionalSequence(family).rows(domain)):
+        np.maximum(sup_abs, _finite_abs(n, row), out=sup_abs)
     _, cert = fit_growth_values(sup_abs, weight_vector(domain), p_grid, domain)
     if cert is None:
         return None

@@ -309,6 +309,20 @@ class TestConverge:
             assert done.returncode == 1 and done.stderr == ""
 
 
+    def test_overflowing_magnitude_is_one_error_line(self, tmp_path):
+        # |1.5e308 + 1.5e308i| overflows to inf, and np.abs raises no flag
+        # for it: numpy warnings, then a non-JSON inf or a NaN comparison,
+        # before the magnitudes were checked.
+        terms = [FockCoefficients({FiniteSubset(0): complex(1.5e308, 1.5e308)},
+                                  support_bound=1)] * 3
+        src, out, csv_path = tmp_path / "seq.json", tmp_path / "out.json", tmp_path / "d.csv"
+        write_json(src, FunctionalSequence(terms).to_json_dict())
+        done = run_fresh("converge", "--in", str(src), "--out", str(out), "--csv", str(csv_path))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("error: coefficient magnitude of term 0 at FiniteSubset({}) "
+                               "overflows the float range\n")
+        assert not out.exists() and not csv_path.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
         # With the default tol this sequence is DIVERGED (exit 1); a NaN or

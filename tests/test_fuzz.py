@@ -150,6 +150,9 @@ def coefficients(rows, bound=None):
 CUBIC = {"format": "fock-sequence/v1",
          "terms": [coefficients([([], (n + 1) ** 3)], 2) for n in range(12)]}
 TWO_ROWS = coefficients([([3], 2), ([], 1)])
+# Three terms {[]: 1.5e308 + 1.5e308i}: |F| overflows, exit 2.
+HUGE = {"format": "fock-sequence/v1", "terms": [
+    {**coefficients([], 1), "coefficients": [{"sigma": [], "re": 1.5e308, "im": 1.5e308}]}] * 3}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -157,6 +160,7 @@ TWO_ROWS = coefficients([([3], 2), ([], 1)])
 @example(("converge", CUBIC, ["--tol", "inf"]))
 @example(("approx", TWO_ROWS, ["--n", "1", "--q", "nan", "--csv", "c"]))
 @example(("approx", TWO_ROWS, ["--n", "1", "--q", "0.5", "--csv", "c"]))
+@example(("converge", HUGE, ["--csv", "c"]))
 @given(commands)
 def test_exit_codes_and_stderr(case):
     name, doc, extra = case

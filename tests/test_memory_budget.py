@@ -6,6 +6,7 @@ allocates, and a recording wrapper shows that each path peaks at no more
 than 4x its largest planned request.
 """
 
+import contextlib
 import importlib.util
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martfock import cli, formats, subsets
+from martfock import cli, formats, sequences, subsets
 from martfock.convolution import all_ones, approximate, approximation_residual, residual_curve
 from martfock.functionals import FockCoefficients, fit_growth, pairing, sobolev_norm
 from martfock.rademacher import (
@@ -31,6 +32,7 @@ from martfock.rademacher import (
 )
 from martfock.sequences import (
     FunctionalSequence,
+    InsufficientLengthError,
     SigmaDiagnostics,
     classical_to_sequence,
     is_generalized_martingale,
@@ -185,6 +187,48 @@ def test_peak_within_four_times_the_largest_plan(name, monkeypatch):
     monkeypatch.setattr(TruncatedDomain, "plan", recording_plan)
     peak = traced_peak(call, *inputs)
     assert requests and peak <= 4 * max(requests)
+
+
+def truncations(length):
+    """A truncation martingale of length terms: the sparse table cut to the
+    masks below 2^(n+1), n = 0..length-1 (the whole table from n = HORIZON)."""
+    phi = sparse_table()
+    return FunctionalSequence([phi.restricted(TruncatedDomain(min(n, HORIZON)))
+                               for n in range(length)])
+
+
+def limit_of_every_term(seq):
+    # Under HORIZON + 1 terms the domain is longer than the sequence: the
+    # limit is refused once every term has been read and checked.
+    with contextlib.suppress(InsufficientLengthError):
+        martingale_limit(seq, DOMAIN)
+
+
+# name -> (sequence of a given length, call, bytes per mask the call plans):
+# each streamed path reads every term.
+STREAMED = {
+    "is_generalized_martingale": (truncations, lambda seq: is_generalized_martingale(seq, DOMAIN),
+                                  sequences.PREDICATE_BYTES),
+    "strong_convergence_test martingale": (
+        truncations, lambda seq: strong_convergence_test(seq, DOMAIN), sequences.VERDICT_BYTES),
+    "strong_convergence_test scan": (table_sequence,
+                                     lambda seq: strong_convergence_test(seq, DOMAIN),
+                                     sequences.VERDICT_BYTES),
+    "martingale_limit": (truncations, limit_of_every_term, sequences.LIMIT_BYTES),
+    "uniform_boundedness": (table_sequence, lambda seq: uniform_boundedness(seq.terms, DOMAIN),
+                            sequences.UNIFORM_BYTES),
+}
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_peak_does_not_grow_with_the_terms(name):
+    # Two rows are read at a time: 4 terms and 32 terms peak alike per mask
+    # (the matrix they replaced held 16 bytes per term and mask), and within
+    # the bytes the path plans.
+    build, call, planned = STREAMED[name]
+    short, long = (traced_peak(call, build(length)) / DOMAIN.size for length in (4, 32))
+    assert abs(long - short) < 16, (short, long)
+    assert max(short, long) <= planned, (short, long, planned)
 
 
 @pytest.mark.parametrize("kind", ["coefficients", "values"])

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from martfock import subsets
+from martfock import sequences, subsets
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
 from martfock.functionals import FockCoefficients, fit_growth_values
 from martfock.rademacher import (
@@ -17,15 +18,16 @@ from martfock.rademacher import (
 )
 from martfock.sequences import (
     ConvergenceStatus,
+    ConvergenceVerdict,
     FunctionalSequence,
     InsufficientLengthError,
     NotAMartingaleError,
     SigmaDiagnostic,
+    SigmaDiagnostics,
     classical_to_sequence,
     is_generalized_martingale,
     martingale_limit,
     strong_convergence_test,
-    _stabilization_indices,
     uniform_boundedness,
 )
 from martfock.subsets import (
@@ -76,8 +78,9 @@ class TestMartingalePredicate:
             )
 
     def test_guard_applies_to_table_terms(self, monkeypatch):
-        # A budget of the two-term values matrix (and one row) over {0..3}.
-        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 16 * 3 * 16)
+        # A budget of the predicate's plan over {0..3}: 16 masks at
+        # PREDICATE_BYTES (48) each, 768 bytes.
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", 16 * sequences.PREDICATE_BYTES)
         seq = FunctionalSequence([FockCoefficients.zero(),
                                   FockCoefficients({FiniteSubset(0): 1.0})])
         assert is_generalized_martingale(seq, TruncatedDomain(3))[0] is False
@@ -367,6 +370,7 @@ class TestColumnarDiagnostics:
     def test_verdict_cases_match_references(self, case):
         build, max_index = case[:2]
         assert_matches_references(build(), TruncatedDomain(max_index))
+        assert_streamed_matches_matrix(build(), TruncatedDomain(max_index))
 
     @settings(max_examples=200)
     @given(generated_sequences())
@@ -582,29 +586,310 @@ def per_column_stabilization(values, tol):
 
 
 class TestStabilizationIndices:
-    @given(st.integers(1, 30), st.integers(1, 200), st.integers(0, 2**32 - 1))
-    def test_matches_per_column_loop(self, rows, cols, seed):
+    """The stabilization column of strong_convergence_test, which the
+    streamed pass keeps as it reads the terms."""
+
+    @given(st.integers(3, 30), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def test_matches_per_column_loop(self, rows, max_index, seed):
         # Steps of 1.0 move; steps of 0, tol/2 or exactly tol do not.  All
         # partial sums are small dyadic rationals, so the differences are exact.
-        tol = 0.5
+        tol, cols = 0.5, 2 << max_index
         rng = np.random.default_rng(seed)
         moving = rng.random((rows - 1, cols)) < rng.random()
         moving[:, 0] = False
-        if rows > 1 and cols > 1:
-            moving[:, -1] = False
-            moving[-1, -1] = True
+        moving[:, -1] = False
+        moving[-1, -1] = True
         still = rng.choice([0.0, tol / 2, tol, -tol], size=moving.shape)
         steps = np.where(moving, rng.choice([1.0, -1.0], size=moving.shape), still)
         values = np.vstack([np.zeros((1, cols)), np.cumsum(steps, axis=0)])
         values = values * rng.choice([1.0, 1j])
-        got = _stabilization_indices(values, tol)
+        seq = FunctionalSequence([FockCoefficients.from_vector(row, max_index)
+                                  for row in values])
+        got = strong_convergence_test(seq, TruncatedDomain(max_index), tol)
+        got = got.diagnostics.stabilization_index
         expected = per_column_stabilization(values, tol)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         assert got[0] == 0
-        if rows > 1 and cols > 1:
-            assert got[-1] == rows - 1
+        assert got[-1] == rows - 1
 
-    def test_single_row_gives_zeros(self):
-        got = _stabilization_indices(np.ones((1, 5), dtype=complex), 0.0)
-        assert got.tolist() == [0] * 5
+    def test_constant_terms_give_zeros(self):
+        seq = FunctionalSequence([FockCoefficients.from_vector(np.ones(4, complex), 1)] * 3)
+        got = strong_convergence_test(seq, TruncatedDomain(1), 0.0).diagnostics
+        assert got.stabilization_index.tolist() == [0] * 4
+
+
+# The matrix implementation that the streamed paths replaced, kept as their
+# oracle: every term over the domain at once, whole-matrix abs and diff.
+def matrix_witness(values, tol):
+    for n in range(len(values) - 1):
+        truncation = values[n + 1].copy()
+        truncation[2 << n:] = 0
+        with np.errstate(over="ignore"):  # an infinite difference exceeds tol
+            bad = np.flatnonzero(np.abs(values[n] - truncation) > tol)
+        if bad.size:
+            return n, FiniteSubset(int(bad[0]))
+    return None
+
+
+def matrix_stabilization_indices(values, tol):
+    with np.errstate(over="ignore"):  # an infinite step exceeds tol
+        diffs = np.abs(np.diff(values, axis=0)) > tol
+    k = diffs.shape[0]
+    last = k - np.argmax(diffs[::-1], axis=0)
+    return np.where(diffs.any(axis=0), last, 0)
+
+
+def matrix_convergence_test(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
+    k_last = len(seq) - 1
+    values = seq.values_matrix(domain)
+    weights = weight_vector(domain)
+    sup_abs = np.abs(values).max(axis=0)
+    stab = matrix_stabilization_indices(values, tol)
+
+    def _diagnostics(cert):
+        margins = (cert.bound_at(weights) - sup_abs if cert is not None
+                   else np.full_like(sup_abs, np.nan))
+        return SigmaDiagnostics(stab, sup_abs, margins)
+
+    if domain.max_index <= k_last and matrix_witness(values, tol) is None:
+        tail_start, settled = domain.max_index, True
+    else:
+        tail_start = k_last - max(2, len(seq) // 3)
+        settled = bool(np.all(stab <= tail_start))
+    if settled:
+        _, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
+        if cert is None:
+            return ConvergenceVerdict(ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
+                                      diagnostics=_diagnostics(None))
+        return ConvergenceVerdict(
+            ConvergenceStatus.CONVERGED,
+            limit=FockCoefficients.from_vector(values[-1], domain.max_index),
+            uniform_certificate=cert, tail_start=tail_start, diagnostics=_diagnostics(cert))
+    head_sup = np.abs(values[: tail_start + 1]).max(axis=0)
+    head_curve, _ = fit_growth_values(head_sup, weights, p_grid, domain)
+    tail_abs = np.abs(values[tail_start:])
+    last, before = tail_abs[-1], tail_abs[-2]
+    grows = (stab > tail_start) & np.all(np.diff(tail_abs, axis=0) > 0, axis=0)
+    for p, c in head_curve.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = c * np.float_power(weights, p)
+        grows &= (last - bound > 0) & (last - bound > before - bound)
+    if grows.any():
+        return ConvergenceVerdict(
+            ConvergenceStatus.DIVERGED,
+            witness=(FiniteSubset(int(np.argmax(grows))), GROWTH_REASON),
+            tail_start=tail_start, diagnostics=_diagnostics(None))
+    return ConvergenceVerdict(ConvergenceStatus.INCONCLUSIVE, tail_start=tail_start,
+                              diagnostics=_diagnostics(None))
+
+
+def matrix_limit(seq, domain, tol):
+    values = seq.values_matrix(domain)
+    witness = matrix_witness(values, tol)
+    if witness is not None:
+        raise NotAMartingaleError(witness)
+    if domain.max_index > len(seq) - 1:
+        raise InsufficientLengthError(
+            f"domain needs terms up to index {domain.max_index}, sequence has {len(seq)}")
+    return FockCoefficients.from_vector(
+        np.concatenate([values[0, :2]] + [values[k, 1 << k : 2 << k]
+                                          for k in range(1, domain.max_index + 1)]),
+        domain.max_index)
+
+
+def matrix_uniform_sup(family, domain):
+    return np.abs(FunctionalSequence(family).values_matrix(domain)).max(axis=0)
+
+
+def outcome(call, *args):
+    """call(*args), or the type and message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def table_fields(phi):
+    return phi.support_bound, [(s.mask, repr(v)) for s, v in phi.table_items()]
+
+
+def verdict_fields(verdict):
+    if isinstance(verdict, tuple):  # the error raised
+        return verdict
+    cert = verdict.uniform_certificate
+    return (verdict.status, verdict.tail_start,
+            verdict.witness and (verdict.witness[0].mask, verdict.witness[1]),
+            cert and (repr(cert.scale), repr(cert.order), cert.domain_checked),
+            verdict.limit and table_fields(verdict.limit))
+
+
+def assert_streamed_matches_matrix(seq, domain, tol=1e-9):
+    """Every streamed path against the matrix oracle: the same verdict
+    fields and bitwise-equal diagnostics columns (dtype, read-only flag), the
+    same predicate witness, limit and sup of |F|."""
+    got, want = (outcome(test, seq, domain, tol)
+                 for test in (strong_convergence_test, matrix_convergence_test))
+    assert verdict_fields(got) == verdict_fields(want)
+    if not isinstance(got, tuple):
+        for name in ("stabilization_index", "sup_abs", "certificate_margin"):
+            a, b = getattr(got.diagnostics, name), getattr(want.diagnostics, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable and not b.flags.writeable
+    witness = matrix_witness(seq.values_matrix(domain), tol)
+    assert is_generalized_martingale(seq, domain, tol) == (witness is None, witness)
+    limits = [outcome(limit, seq, domain, tol) for limit in (martingale_limit, matrix_limit)]
+    got_limit, want_limit = [x if isinstance(x, tuple) else table_fields(x) for x in limits]
+    assert got_limit == want_limit
+    bound = uniform_boundedness(seq.terms, domain)
+    _, cert = fit_growth_values(matrix_uniform_sup(seq.terms, domain),
+                                weight_vector(domain), (0.0, 1.0, 2.0), domain)
+    assert (bound and bound.certificate) == cert
+    return got
+
+
+def explicit_sequence(rows, max_index):
+    """One table per row of {mask: value}, every entry stored, zeros too."""
+    return FunctionalSequence([
+        FockCoefficients({FiniteSubset(m): v for m, v in row.items()}, support_bound=max_index)
+        for row in rows])
+
+
+def cut(values, level):
+    """The martingale term at level: the entries of values below 2^(level+1)."""
+    return {m: v for m, v in values.items() if m < 2 << level}
+
+
+BIG = {0: 1.0, 1: 1e308, 2: -0.0, 3: -1e308j}
+# name -> (rows, max_index): each takes a streamed path at an edge.
+STREAMED_CASES = {
+    "three-terms": ([{0: 1.0}, {0: 2.0}, {0: 2.0}], 0),
+    "domain-past-last-term": ([cut(BIG, n) for n in range(3)] , 4),
+    "domain-at-last-term": ([cut(BIG, n) for n in range(3)], 2),
+    "witness-at-first-pair": ([{0: 1.0, 1: 3.0}, {0: 1.0, 1: 2.0}, {0: 1.0, 1: 2.0}], 1),
+    "witness-at-last-pair": ([cut(BIG, n) for n in range(3)] + [{**BIG, 2: 5.0}], 1),
+    "infinite-differences": ([{0: (-1.0) ** n * 1e308, 1: 1e308j} for n in range(6)], 1),
+    "negative-zero": ([{0: -0.0, 1: complex(-0.0, -0.0), 2: 1.0} for _ in range(4)], 1),
+}
+
+
+@st.composite
+def streamed_sequences(draw):
+    """(sequence, domain, tol): 3 to 8 terms over max_index 0..4, so the
+    domain lies on both sides of the last term index.  Truncation
+    martingales, some with one term changed (a witness at the first, the
+    last or any pair), and columns that stay, settle, grow or jump; entries
+    include -0.0 (stored) and +-1e308, whose differences overflow."""
+    max_index, length = draw(st.integers(0, 4)), draw(st.integers(3, 8))
+    size = 2 << max_index
+    entries = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 16.0, 1e308, -1e308])
+    phases = st.sampled_from([1.0, -1.0, 1j])
+    shape = draw(st.sampled_from(["martingale", "broken", "columns"]))
+    if shape == "columns":
+        columns = []
+        for _ in range(size):
+            kind = draw(st.sampled_from(["constant", "settle", "grow", "any"]))
+            if kind == "grow":
+                steps = draw(st.lists(st.sampled_from([1.0, 2.0, 8.0]),
+                                      min_size=length, max_size=length))
+                columns.append(list(np.cumsum(steps) * draw(phases)))
+            else:
+                cut_at = draw(st.integers(0, length)) if kind == "settle" else length
+                column = draw(st.lists(entries, min_size=length, max_size=length))
+                if kind == "constant":
+                    column = [column[0]] * length
+                columns.append(column[:cut_at] + [column[-1]] * (length - cut_at))
+        rows = [{m: complex(columns[m][n]) for m in range(size)} for n in range(length)]
+    else:
+        base = {m: draw(entries) * draw(phases) for m in range(size)}
+        rows = [cut(base, n) for n in range(length)]
+        if shape == "broken":
+            n = draw(st.sampled_from([0, length - 1, draw(st.integers(0, length - 1))]))
+            rows[n][draw(st.integers(0, size - 1))] = draw(entries) + 0.25
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    return explicit_sequence(rows, max_index), TruncatedDomain(max_index), tol
+
+
+class TestStreamedMatchesMatrix:
+    @pytest.mark.parametrize("name", STREAMED_CASES)
+    def test_edge_cases(self, name):
+        rows, max_index = STREAMED_CASES[name]
+        assert_streamed_matches_matrix(explicit_sequence(rows, max_index),
+                                       TruncatedDomain(max_index))
+
+    def test_edge_cases_reach_their_edges(self):
+        def witness(name, tol=1e-9):
+            rows, max_index = STREAMED_CASES[name]
+            return is_generalized_martingale(explicit_sequence(rows, max_index),
+                                             TruncatedDomain(max_index), tol)[1]
+        assert witness("witness-at-first-pair") == (0, FiniteSubset(1))
+        assert witness("witness-at-last-pair") == (2, FiniteSubset(2))
+        assert witness("infinite-differences") == (0, FiniteSubset(0))
+        rows, max_index = STREAMED_CASES["domain-past-last-term"]
+        verdict = strong_convergence_test(explicit_sequence(rows, max_index),
+                                          TruncatedDomain(max_index))
+        assert verdict.tail_start == 0  # the generic tail: no structural branch
+
+    @settings(max_examples=200, deadline=None)
+    @example((explicit_sequence([{0: 1.0, 1: 2.0}] * 3, 0), TruncatedDomain(0), 0.0))
+    @given(streamed_sequences())
+    def test_generated_sequences(self, drawn):
+        assert_streamed_matches_matrix(*drawn)
+
+    def test_overflowing_magnitude_is_refused(self):
+        # |1.5e308 + 1.5e308i| overflows to inf, and np.abs raises no flag
+        # for it; the matrix path let it through as an inf sup.
+        seq = explicit_sequence([{0: 1.0}, {0: complex(1.5e308, 1.5e308)}, {0: 1.0}], 1)
+        message = ("coefficient magnitude of term 1 at FiniteSubset({}) overflows "
+                   "the float range")
+        for call in (lambda: strong_convergence_test(seq, TruncatedDomain(1)),
+                     lambda: uniform_boundedness(seq.terms, TruncatedDomain(1))):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+
+
+# F(sigma) = c * weight(sigma)^a: off the growth grid (0, 1, 2), so the fitted
+# certificate is (|c|, the smallest grid order p >= a) with no rounding tie.
+POWER_LAWS = [(-0.5, 1.0), (-1.0, 3 - 4j), (0.25, -2.5), (0.5, 1e-3j), (1.5, 7.0)]
+CLOSED_FORM_TOL = 2.0 ** -51  # 4 ulp of the bound |c| * weight^p
+
+
+class TestClosedFormVerdict:
+    """strong_convergence_test on the truncations of c * weight^a at levels
+    0..N, N = 2..12 (a verdict needs three terms), against the closed form
+    evaluated by mpmath at 50 digits."""
+
+    @pytest.mark.parametrize("a,c", POWER_LAWS)
+    def test_power_law_verdict(self, a, c):
+        p = min(q for q in (0.0, 1.0, 2.0) if q >= a)
+        w = weight_vector(TruncatedDomain(12))
+        phi = FockCoefficients.from_vector(c * np.float_power(w, a), 12)
+        verdicts = {n: strong_convergence_test(approximation_sequence(phi, n), TruncatedDomain(n))
+                    for n in range(2, 13)}
+        margins = verdicts[12].diagnostics.certificate_margin
+        with mpmath.workdps(50):
+            modulus = mpmath.sqrt(mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2)
+            powers = {x: (mpmath.mpf(x) ** a, mpmath.mpf(x) ** p) for x in set(w.tolist())}
+            exact = [(modulus * powers[x][0], modulus * powers[x][1]) for x in w.tolist()]
+            # |computed margin - |c| (weight^p - weight^a)|, over the bound |c| weight^p
+            errors = [float(abs(mpmath.mpf(m) - (bound - sup)) / bound)
+                      for m, (sup, bound) in zip(margins.tolist(), exact)]
+            sup_errors = [float(abs(mpmath.mpf(m) - sup) / sup)
+                          for m, (sup, _) in zip(verdicts[12].diagnostics.sup_abs.tolist(), exact)]
+            moved = np.array([sup > 1e-9 for sup, _ in exact])
+            scale_error = float(abs(mpmath.mpf(abs(c)) - modulus) / modulus)
+        assert max(errors) <= CLOSED_FORM_TOL and max(sup_errors) <= CLOSED_FORM_TOL
+        assert scale_error <= CLOSED_FORM_TOL
+        for n, verdict in verdicts.items():
+            size = 2 << n
+            assert verdict.status is ConvergenceStatus.CONVERGED and verdict.tail_start == n
+            cert = verdict.uniform_certificate
+            assert (cert.scale, cert.order) == (abs(c), p)
+            view = verdict.diagnostics
+            # Every column at level n is the prefix of the level-12 column.
+            assert view.certificate_margin.tobytes() == margins[:size].tobytes()
+            top = np.floor(np.log2(np.maximum(np.arange(size), 1))).astype(int)
+            assert np.array_equal(view.stabilization_index, np.where(moved[:size], top, 0))
+            limit = verdict.limit.values_on(TruncatedDomain(n))
+            assert limit.tobytes() == phi.values_on(TruncatedDomain(n)).tobytes()
