@@ -4,7 +4,9 @@ scheme built on it.
 Convolution multiplies coefficient functions pointwise.  The family of
 indicator functionals (coefficient 1 on every subset of {0,..,n}) convolves
 any functional into its truncation, producing a martingale sequence that
-approximates the original functional.
+approximates the original functional.  Convolutions and approximants of a
+rule are rules again, computed at the masks they are read at; neither
+builds an indicator table.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ INDICATOR_MAX_LEVEL = 20
 
 def convolve(a: FockCoefficients, b: FockCoefficients) -> FockCoefficients:
     """Pointwise product of coefficient functions; the support is contained
-    in the intersection of the factors' supports."""
+    in the intersection of the factors' supports.  Two tables multiply at
+    their common masks; with a rule, the product is the rule that
+    multiplies a's values by b's at the masks read."""
     bound = min((x.support_bound for x in (a, b) if x.support_bound is not None),
                 default=None)
     if a.rule is not None or b.rule is not None:
-        return FockCoefficients.from_rule(lambda s: a.evaluate(s) * b.evaluate(s), bound)
+        return FockCoefficients._from_mask_rule(lambda m: _product(a._at(m), b._at(m)), bound)
     masks, ia, ib = np.intersect1d(a._masks, b._masks, assume_unique=True,
                                    return_indices=True)
     return FockCoefficients._from_arrays(masks, _product(a._values[ia], b._values[ib]),
@@ -34,7 +38,7 @@ def convolve(a: FockCoefficients, b: FockCoefficients) -> FockCoefficients:
 def all_ones() -> FockCoefficients:
     """The rule-backed functional with coefficient 1 at every subset (the
     convolution unit, and the limit of the indicator family)."""
-    return FockCoefficients(rule=lambda s: 1.0, support_bound=None)
+    return FockCoefficients._from_mask_rule(lambda m: np.ones(m.size, np.complex128), None)
 
 
 def _check_level(n: int) -> None:
@@ -45,6 +49,7 @@ def _check_level(n: int) -> None:
 def indicator_functional(n: int) -> FockCoefficients:
     """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
     _check_level(n)
+    TruncatedDomain(n).plan(40)  # the ones, their int64 masks and the table's values
     return FockCoefficients.from_vector(np.ones(2 << n, dtype=np.complex128), n)
 
 
@@ -52,12 +57,15 @@ def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:
     """Truncation approximant: agrees with phi on subsets of {0,..,n} and
     vanishes elsewhere (convolution with the level-n indicator functional).
 
-    A table keeps the prefix of its masks inside {0,..,n}, each value
-    multiplied by 1 as the convolution multiplies it (so signed zeros round
-    the same way), with no indicator vector; a rule is convolved."""
+    Neither backing builds the indicator.  A table keeps the prefix of its
+    masks inside {0,..,n}, each value multiplied by 1 as the convolution
+    multiplies it (so signed zeros round the same way).  A rule is
+    convolved with the indicator written as a rule (1 below 2^(n+1), 0 from
+    there on), so its approximant is a rule too, and each value is rounded
+    as the indicator table's convolution rounded it (0 * -x is -0.0)."""
     _check_level(n)
     if phi.rule is not None:
-        return convolve(indicator_functional(n), phi)
+        return convolve(FockCoefficients._from_mask_rule(lambda m: (m < (2 << n)) + 0j, n), phi)
     masks, values = phi._entries_on(TruncatedDomain(n))
     return FockCoefficients._from_arrays(masks, _product(1.0, values),
                                          min(n, phi.support_bound))

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from martfock.functionals import (
     sobolev_norm,
     verify_certificate,
 )
-from martfock.convolution import indicator_functional
+from martfock.convolution import approximation_sequence, indicator_functional
 from martfock.subsets import (
     DomainTooLargeError,
     FiniteSubset,
@@ -59,6 +60,26 @@ class TestFockCoefficients:
         assert phi.evaluate(s) == 6
         assert phi.evaluate(s) == 6
         assert calls == [s]  # second hit served from the cache
+
+    def test_scalar_rule_called_once_per_mask_across_composites(self):
+        # The adapted rule's memo is shared by every composite built on it:
+        # each approximant's terms and repeated reads call the rule once per
+        # mask in all.
+        calls = collections.Counter()
+
+        def rule(sigma):
+            calls[sigma.mask] += 1
+            return 1.0 / weight(sigma)
+
+        phi = FockCoefficients.from_rule(rule)
+        domain = TruncatedDomain(6)
+        seq = approximation_sequence(2.0 * phi, 8)
+        for _ in range(2):
+            for term in seq.terms:
+                term.values_on(domain)
+            phi.values_on(domain)
+            phi.values_on(TruncatedDomain(3))
+        assert calls == collections.Counter(range(domain.size))
 
     def test_support_bound_inferred_and_enforced(self):
         phi = table_functional([([0, 4], 1.0)])

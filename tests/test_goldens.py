@@ -1,6 +1,6 @@
 """Every benchmark workload's CLI output bytes and exit codes against the
 recorded sha256s (the check `python3 tools/goldens.py` makes), for both
-seeds."""
+seeds.  The demos' entries in the same file are checked by test_demos.py."""
 
 import importlib.util
 import json
@@ -25,5 +25,6 @@ def test_outputs_match_recorded_sha256s(monkeypatch):
     before = bench_files()
     found = goldens.outputs(ROOT)
     assert bench_files() == before
-    assert found == recorded
+    assert found == {key: value for key, value in recorded.items()
+                     if not key.startswith("demos/")}
     assert len(found) == 22

@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 from martfock import cli, formats, sequences, subsets
-from martfock.convolution import all_ones, approximate, approximation_residual, residual_curve
+from martfock.convolution import (
+    all_ones,
+    approximate,
+    approximation_residual,
+    convolve,
+    indicator_functional,
+    residual_curve,
+)
 from martfock.functionals import FockCoefficients, fit_growth, pairing, sobolev_norm
 from martfock.rademacher import (
     RandomFunctional,
@@ -78,6 +85,12 @@ PATHS = {
     "weighted_series": (lambda: (), lambda: weighted_series(2.0, DOMAIN)),
     "values_on table": (lambda: (sparse_table(),), lambda phi: phi.values_on(DOMAIN)),
     "values_on rule": (lambda: (all_ones(),), lambda phi: phi.values_on(DOMAIN)),
+    "values_on scalar rule": (lambda: (FockCoefficients.from_rule(lambda s: 0.5 * s.mask),),
+                              lambda phi: phi.values_on(DOMAIN)),
+    "values_on nested composite": (
+        lambda: (approximate(3 * convolve(2 * all_ones() + all_ones(), all_ones()), 12),),
+        lambda phi: phi.values_on(DOMAIN)),
+    "indicator_functional": (lambda: (), lambda: indicator_functional(HORIZON)),
     "restricted rule": (lambda: (all_ones(),), lambda phi: phi.restricted(DOMAIN)),
     "residual_curve table": (lambda: (sparse_table(),),
                              lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
@@ -118,15 +131,23 @@ PATHS = {
 }
 
 
-def traced_peak(call, *inputs):
-    """Peak bytes traced while call(*inputs) runs, over what was live before."""
+def traced(call, *inputs):
+    """(peak, held): bytes traced while call(*inputs) runs, and still traced
+    once it has returned and its result is dropped, over what was live
+    before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         call(*inputs)
-        return tracemalloc.get_traced_memory()[1] - base
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - base, current - base
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call, *inputs):
+    """Peak bytes traced while call(*inputs) runs, over what was live before."""
+    return traced(call, *inputs)[0]
 
 
 def test_budget_is_an_eighth_of_physical_memory(monkeypatch):
@@ -197,6 +218,15 @@ def truncations(length):
                                for n in range(length)])
 
 
+RULE_READ_BYTES = 200  # what reading any rule over a domain plans per mask
+
+
+def rule_truncations(length):
+    """Rule-backed terms: the approximants of all_ones at levels
+    min(n, HORIZON), n = 0..length-1."""
+    return FunctionalSequence([approximate(all_ones(), min(n, HORIZON)) for n in range(length)])
+
+
 def limit_of_every_term(seq):
     # Under HORIZON + 1 terms the domain is longer than the sequence: the
     # limit is refused once every term has been read and checked.
@@ -211,6 +241,9 @@ STREAMED = {
                                   sequences.PREDICATE_BYTES),
     "strong_convergence_test martingale": (
         truncations, lambda seq: strong_convergence_test(seq, DOMAIN), sequences.VERDICT_BYTES),
+    "strong_convergence_test rules": (rule_truncations,
+                                      lambda seq: strong_convergence_test(seq, DOMAIN),
+                                      sequences.VERDICT_BYTES + RULE_READ_BYTES),
     "strong_convergence_test scan": (table_sequence,
                                      lambda seq: strong_convergence_test(seq, DOMAIN),
                                      sequences.VERDICT_BYTES),
@@ -229,6 +262,15 @@ def test_streamed_peak_does_not_grow_with_the_terms(name):
     short, long = (traced_peak(call, build(length)) / DOMAIN.size for length in (4, 32))
     assert abs(long - short) < 16, (short, long)
     assert max(short, long) <= planned, (short, long, planned)
+
+
+def test_rule_terms_hold_nothing_after_the_verdict():
+    # A built-in rule keeps no values between reads, so nothing per term or
+    # per mask outlives the verdict.
+    for length in (4, 32):
+        seq = rule_truncations(length)
+        _, held = traced(lambda: strong_convergence_test(seq, DOMAIN))
+        assert held < DOMAIN.size, (length, held / DOMAIN.size)
 
 
 @pytest.mark.parametrize("kind", ["coefficients", "values"])

@@ -1,10 +1,13 @@
-"""Check the CLI's output bytes and exit codes against recorded sha256s.
+"""Check the CLI's output bytes and exit codes, and the demos' stdout,
+against recorded sha256s.
 
 Builds the inputs of the benchmark's workloads (`bench/workloads.py`,
 imported and not changed) for seeds 1 and 2 in a temporary directory, runs
 each workload's CLI calls in this process, and compares the exit code and
-the sha256 of every output file with `tools/goldens.json`.  Prints one line
-per mismatch and exits 1 if there is any, else exits 0.
+the sha256 of every output file with `tools/goldens.json`.  Each walkthrough
+under `demos/` also runs in this process, and the sha256 of what it prints
+is compared with the file's `demos/<name>` entry.  Prints one line per
+mismatch and exits 1 if there is any, else exits 0.
 
 Usage: python3 tools/goldens.py [REPO_ROOT]
 """
@@ -15,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -48,10 +52,23 @@ def outputs(root: Path, names: list[str] | None = None) -> dict[str, dict]:
     return found
 
 
+def demo_outputs(root: Path) -> dict[str, dict]:
+    """{"demos/<name>": {"exit": 0, "sha256": digest}} of the stdout of every
+    walkthrough under demos/, each run in this process."""
+    sys.path[:0] = [str(root / "src")]
+    found = {}
+    for path in sorted((root / "demos").glob("0*.py")):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            runpy.run_path(str(path), run_name="__main__")
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        found[f"demos/{path.stem}"] = {"exit": 0, "sha256": digest}
+    return found
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     recorded = json.loads((root / "tools" / "goldens.json").read_text())
-    found = outputs(root)
+    found = {**outputs(root), **demo_outputs(root)}
     keys = sorted(recorded.keys() | found.keys())
     mismatches = [key for key in keys if recorded.get(key) != found.get(key)]
     for key in mismatches:
