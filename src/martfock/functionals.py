@@ -79,8 +79,11 @@ class FockCoefficients:
     argument takes a scalar rule sigma -> complex, which is adapted once.
     _entries_on is the one reader of either backing over a domain.
 
-    support_bound: smallest N with all nonzero coefficients on subsets of
-    {0,..,N}, or None when unbounded (rule-backed analytic functionals).
+    support_bound: an upper bound N with all nonzero coefficients on
+    subsets of {0,..,N}.  A declared bound is kept as given (from_vector,
+    restricted, convolve and approximate declare one); a table without one
+    takes the smallest such N.  None when unbounded (rule-backed analytic
+    functionals).
     """
 
     def __init__(

@@ -221,14 +221,12 @@ class NormalMartingaleReport:
 
 def _conditional_given_prefix(values: np.ndarray, probs: np.ndarray, n_coords: int
                               ) -> np.ndarray:
-    """E[values | coordinates 0..n_coords-1], one entry per point (constant on
-    each atom).  n_coords = 0 conditions on the trivial sigma-field."""
+    """E[values | coordinates 0..n_coords-1], one entry per atom: entry a is
+    the value on the points whose low n_coords bits are a.  n_coords = 0
+    conditions on the trivial sigma-field."""
     block = 1 << n_coords
-    v = values.reshape(-1, block)
-    p = probs.reshape(-1, block)
-    atom_mass = p.sum(axis=0)
-    cond = (v * p).sum(axis=0) / atom_mass
-    return np.tile(cond, v.shape[0])
+    v, p = values.reshape(-1, block), probs.reshape(-1, block)
+    return (v * p).sum(axis=0) / p.sum(axis=0)  # over each atom's points
 
 
 def verify_normal_martingale(
@@ -242,24 +240,26 @@ def verify_normal_martingale(
     Conditions: E[M_0] = 0, E[M_n | first n coords] = M_{n-1},
     E[M_0^2] = 1, E[M_n^2 | first n coords] = M_{n-1}^2 + 1.
     With the uniform measure every deviation is exactly 0; a biased measure
-    (negative control) breaks the mean condition.
+    (negative control) breaks the mean condition.  The walk is built one step
+    at a time, holding only M_{n-1} and M_n; M_{n-1} is constant on each atom
+    of the first n coordinates, so its value there is its value at the atom's
+    index.
     """
-    space.domain().plan(16 * (space.horizon + 1) + 8)  # the walk, built twice
+    space.domain().plan(56)  # M_{n-1}, M_n, the measure and the step's temporaries
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
              else np.asarray(probabilities, dtype=float))
     if probs.shape != (space.size,):
         raise ValueError("probability vector length mismatch")
-    walk = np.cumsum(
-        np.stack([space.signs(k) for k in range(space.horizon + 1)]), axis=0
-    )
+    walk = space.signs(0)  # M_0
 
-    mean_dev = abs(float(np.dot(walk[0], probs)))  # E[M_0] = 0
-    sq_dev = abs(float(np.dot(walk[0] ** 2, probs)) - 1.0)  # E[M_0^2] = 1
+    mean_dev = abs(float(np.dot(walk, probs)))  # E[M_0] = 0
+    sq_dev = abs(float(np.dot(walk ** 2, probs)) - 1.0)  # E[M_0^2] = 1
     for n in range(1, space.horizon + 1):
-        cond_mean = _conditional_given_prefix(walk[n], probs, n)
-        cond_sq = _conditional_given_prefix(walk[n] ** 2, probs, n)
-        mean_dev = max(mean_dev, float(np.max(np.abs(cond_mean - walk[n - 1]))))
-        sq_dev = max(sq_dev, float(np.max(np.abs(cond_sq - walk[n - 1] ** 2 - 1.0))))
+        prev, walk = walk[:1 << n], walk + space.signs(n)  # prev: M_{n-1} per atom
+        cond_mean = _conditional_given_prefix(walk, probs, n)
+        cond_sq = _conditional_given_prefix(walk ** 2, probs, n)
+        mean_dev = max(mean_dev, float(np.max(np.abs(cond_mean - prev))))
+        sq_dev = max(sq_dev, float(np.max(np.abs(cond_sq - prev ** 2 - 1.0))))
 
     conditions = (
         MartingaleCondition("conditional mean", mean_dev, mean_dev <= tol),

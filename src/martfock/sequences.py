@@ -73,14 +73,6 @@ class FunctionalSequence:
         holding two rows, so their cost per mask does not grow with len."""
         return (phi.values_on(domain) for phi in self.terms)
 
-    def values_matrix(self, domain: TruncatedDomain) -> np.ndarray:
-        """Coefficients of every term over the domain: shape (len, domain size),
-        the rows stacked, so the matrix and one row are live at a time.  For
-        callers that want every term at once; no library path builds it."""
-        domain.plan(16 * (len(self) + 1))
-        return np.fromiter(self.rows(domain), np.dtype((np.complex128, domain.size)),
-                           len(self))
-
     def to_json_dict(self) -> dict:
         return {"format": formats.SEQUENCE_FORMAT,
                 "terms": [phi.to_json_dict() for phi in self.terms]}
@@ -351,16 +343,15 @@ def uniform_boundedness(
     dual_order: Optional[float] = None,
 ) -> Optional[UniformBound]:
     """Fit a growth certificate to the pointwise sup of |F| over the family,
-    read one term at a time (ValueError if a magnitude is not a finite
-    float); when one is found, also report the induced bound on the dual
-    norms."""
-    family = list(functionals)
-    if not family:
-        raise ValueError("the family must be nonempty")
+    iterated once and read one term at a time, never listed (ValueError if
+    a magnitude is not a finite float); when one is found, also report the
+    induced bound on the dual norms."""
     domain.plan(UNIFORM_BYTES)
-    sup_abs = np.zeros(domain.size)
-    for n, row in enumerate(FunctionalSequence(family).rows(domain)):
-        np.maximum(sup_abs, _finite_abs(n, row), out=sup_abs)
+    sup_abs, n = np.zeros(domain.size), -1
+    for n, phi in enumerate(functionals):
+        np.maximum(sup_abs, _finite_abs(n, phi.values_on(domain)), out=sup_abs)
+    if n < 0:
+        raise ValueError("the family must be nonempty")
     _, cert = fit_growth_values(sup_abs, weight_vector(domain), p_grid, domain)
     if cert is None:
         return None

@@ -95,9 +95,6 @@ class FiniteSubset:
         return f"FiniteSubset({{{', '.join(map(str, self.elements))}}})"
 
 
-EMPTY = FiniteSubset(0)
-
-
 @dataclass(frozen=True)
 class TruncatedDomain:
     """All subsets of {0,..,max_index}, enumerated in ascending bitmask order.

@@ -100,7 +100,7 @@ def test_criterion_2_weighted_series():
         assert time.perf_counter() - start < 2.0
         # Known red: the truncated sum at max_index 12 is 3.41396..., which
         # sits 0.262 below the infinite-product limit sinh(pi)/pi = 3.67608...
-        # Proximity within 0.03 first holds near max_index 125, beyond the
+        # Proximity within 0.03 first holds at max_index 121, beyond the
         # largest subset index (63), so this gate cannot pass at the stated
         # truncation.
         assert abs(values[-1] - math.sinh(math.pi) / math.pi) <= 0.03

@@ -6,6 +6,7 @@ allocates, and a recording wrapper shows that each path peaks at no more
 than 4x its largest planned request.
 """
 
+import ast
 import contextlib
 import importlib.util
 import json
@@ -101,7 +102,6 @@ PATHS = {
                             lambda phi: residual_curve(phi, 12, 1.0, DOMAIN)),
     "approximation_residual": (lambda: (sparse_table(),),
                                lambda phi: approximation_residual(phi, 3, 1.0, DOMAIN)),
-    "values_matrix": (lambda: (table_sequence(),), lambda seq: seq.values_matrix(DOMAIN)),
     "is_generalized_martingale": (lambda: (table_sequence(),),
                                   lambda seq: is_generalized_martingale(seq, DOMAIN)),
     "strong_convergence_test": (lambda: (table_sequence(),),
@@ -194,10 +194,10 @@ def test_table_prefix_paths_plan_no_bytes(monkeypatch):
     assert phi.evaluate(FiniteSubset(top)) == phi._values[-1]
 
 
-@pytest.mark.parametrize("name", PATHS)
-def test_peak_within_four_times_the_largest_plan(name, monkeypatch):
-    setup, call = PATHS[name]
-    inputs = setup()
+def planned_peak(call, *inputs):
+    """(peak, planned): the bytes traced while call(*inputs) runs, over what
+    was live before, and the largest request it made of TruncatedDomain.plan
+    (None if it made none)."""
     requests = []
     plan = TruncatedDomain.plan
 
@@ -205,9 +205,40 @@ def test_peak_within_four_times_the_largest_plan(name, monkeypatch):
         requests.append(domain.size * bytes_per_mask)
         plan(domain, bytes_per_mask)
 
-    monkeypatch.setattr(TruncatedDomain, "plan", recording_plan)
-    peak = traced_peak(call, *inputs)
-    assert requests and peak <= 4 * max(requests)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TruncatedDomain, "plan", recording_plan)
+        peak = traced_peak(call, *inputs)
+    return peak, max(requests, default=None)
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_peak_within_four_times_the_largest_plan(name):
+    setup, call = PATHS[name]
+    peak, planned = planned_peak(call, *setup())
+    assert planned is not None and peak <= 4 * planned
+
+
+def test_every_plan_passes_a_constant():
+    # Each whole-domain path plans a constant number of bytes per mask: a
+    # plan that grows with the terms or the horizon is a path that holds
+    # them all.  Every .plan argument is an int literal or an UPPER_CASE
+    # constant assigned at module level.
+    calls, offenders = 0, []
+    for path in sorted((SRC / "martfock").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants = {name.id for node in tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name) and name.id.isupper()}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "plan"):
+                continue
+            calls += 1
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]:
+                literal = isinstance(arg, ast.Constant) and type(arg.value) is int
+                if not (literal or (isinstance(arg, ast.Name) and arg.id in constants)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert calls and offenders == []
 
 
 def truncations(length):
@@ -262,6 +293,32 @@ def test_streamed_peak_does_not_grow_with_the_terms(name):
     short, long = (traced_peak(call, build(length)) / DOMAIN.size for length in (4, 32))
     assert abs(long - short) < 16, (short, long)
     assert max(short, long) <= planned, (short, long, planned)
+
+
+def test_uniform_boundedness_reads_a_lazy_family_one_term_at_a_time():
+    # A generator of dense approximants, each term from HORIZON on the whole
+    # table.  The term read and the next one being built are live together,
+    # so 20 terms and 40 peak alike per mask, within 4x the plan.
+    dense = FockCoefficients.from_vector(sample_values(), HORIZON)
+    per_mask = []
+    for length in (20, 40):
+        family = (approximate(dense, min(n, HORIZON)) for n in range(length))
+        peak, planned = planned_peak(uniform_boundedness, family, DOMAIN)
+        assert peak <= 4 * planned, (length, peak / DOMAIN.size)
+        per_mask.append(peak / DOMAIN.size)
+    assert abs(per_mask[1] - per_mask[0]) < 16, per_mask
+
+
+def test_verifier_peak_does_not_grow_with_the_horizon():
+    # The walk is built a step at a time, holding M_{n-1} and M_n: the peak
+    # per mask is the same at horizon 12 as at 16, and within the plan.
+    per_mask = []
+    for horizon in (12, 16):
+        space = SampleSpace(horizon)
+        peak, planned = planned_peak(verify_normal_martingale, space)
+        assert peak <= planned, (horizon, peak / space.size, planned / space.size)
+        per_mask.append(peak / space.size)
+    assert abs(per_mask[1] - per_mask[0]) < 16, per_mask
 
 
 def test_rule_terms_hold_nothing_after_the_verdict():

@@ -276,6 +276,35 @@ class TestNormalMartingaleVerifier:
         assert data["passed"] is True
         assert len(data["conditions"]) == 2
 
+    @pytest.mark.parametrize("minus_prob", [None, 0.3, 0.7, 0.75])
+    def test_deviations_match_the_stacked_walk_bit_for_bit(self, minus_prob):
+        for horizon in range(13):
+            sp = SampleSpace(horizon)
+            probs = (np.full(sp.size, 1.0 / sp.size) if minus_prob is None
+                     else biased_probabilities(sp, minus_prob))
+            report = verify_normal_martingale(sp, None if minus_prob is None else probs)
+            got = [c.max_deviation.hex() for c in report.conditions]
+            assert got == [d.hex() for d in stacked_walk_deviations(sp, probs)], horizon
+
+
+def stacked_walk_deviations(sp, probs):
+    """The verifier's (mean, second moment) deviations by the walk it
+    replaced, kept as the reference: every M_n stacked in one matrix, and
+    each conditional expectation tiled back to one value per point."""
+    walk = np.cumsum(np.stack([sp.signs(k) for k in range(sp.horizon + 1)]), axis=0)
+
+    def conditional(values, n):
+        v, p = values.reshape(-1, 1 << n), probs.reshape(-1, 1 << n)
+        return np.tile((v * p).sum(axis=0) / p.sum(axis=0), v.shape[0])
+
+    mean_dev = abs(float(np.dot(walk[0], probs)))
+    sq_dev = abs(float(np.dot(walk[0] ** 2, probs)) - 1.0)
+    for n in range(1, sp.horizon + 1):
+        mean_dev = max(mean_dev, float(np.max(np.abs(conditional(walk[n], n) - walk[n - 1]))))
+        sq_dev = max(sq_dev, float(np.max(np.abs(
+            conditional(walk[n] ** 2, n) - walk[n - 1] ** 2 - 1.0))))
+    return mean_dev, sq_dev
+
 
 class TestSerialization:
     def test_roundtrip(self):

@@ -247,11 +247,17 @@ def test_verdict_branches_pinned(case):
     assert len(verdict.diagnostics) == 1 << (max_index + 1)
 
 
+def stacked(seq, domain):
+    """Every term's coefficients over the domain, one row per term: the
+    matrix the oracles below read."""
+    return np.array(list(seq.rows(domain)))
+
+
 # The per-subset row builder and the per-candidate divergence loop that
 # strong_convergence_test replaced with columns and whole-array comparisons,
 # kept as references.
 def reference_rows(seq, domain, tol, cert):
-    values = seq.values_matrix(domain)
+    values = stacked(seq, domain)
     weights = weight_vector(domain)
     sup_abs = np.abs(values).max(axis=0)
     stab = per_column_stabilization(values, tol)
@@ -267,7 +273,7 @@ def reference_rows(seq, domain, tol, cert):
 def reference_verdict(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
     """(status, witness mask or None, tail_start) by the old branch logic."""
     k_last = len(seq) - 1
-    values = seq.values_matrix(domain)
+    values = stacked(seq, domain)
     weights = weight_vector(domain)
     stab = per_column_stabilization(values, tol)
     if domain.max_index <= k_last and is_generalized_martingale(seq, domain, tol)[0]:
@@ -503,7 +509,7 @@ class TestMartingaleLimit:
         assert limit.table_items() == list(oracle.items())
         assert limit.support_bound == 4
         assert not np.array_equal(limit.values_on(domain),
-                                  seq.values_matrix(domain)[-1])
+                                  stacked(seq, domain)[-1])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
@@ -642,7 +648,7 @@ def matrix_stabilization_indices(values, tol):
 
 def matrix_convergence_test(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
     k_last = len(seq) - 1
-    values = seq.values_matrix(domain)
+    values = stacked(seq, domain)
     weights = weight_vector(domain)
     sup_abs = np.abs(values).max(axis=0)
     stab = matrix_stabilization_indices(values, tol)
@@ -685,7 +691,7 @@ def matrix_convergence_test(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
 
 
 def matrix_limit(seq, domain, tol):
-    values = seq.values_matrix(domain)
+    values = stacked(seq, domain)
     witness = matrix_witness(values, tol)
     if witness is not None:
         raise NotAMartingaleError(witness)
@@ -699,7 +705,7 @@ def matrix_limit(seq, domain, tol):
 
 
 def matrix_uniform_sup(family, domain):
-    return np.abs(FunctionalSequence(family).values_matrix(domain)).max(axis=0)
+    return np.abs(stacked(FunctionalSequence(family), domain)).max(axis=0)
 
 
 def outcome(call, *args):
@@ -736,7 +742,7 @@ def assert_streamed_matches_matrix(seq, domain, tol=1e-9):
             a, b = getattr(got.diagnostics, name), getattr(want.diagnostics, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert not a.flags.writeable and not b.flags.writeable
-    witness = matrix_witness(seq.values_matrix(domain), tol)
+    witness = matrix_witness(stacked(seq, domain), tol)
     assert is_generalized_martingale(seq, domain, tol) == (witness is None, witness)
     limits = [outcome(limit, seq, domain, tol) for limit in (martingale_limit, matrix_limit)]
     got_limit, want_limit = [x if isinstance(x, tuple) else table_fields(x) for x in limits]
