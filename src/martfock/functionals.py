@@ -7,15 +7,15 @@ and complex128 values.  Tables are sparse: an absent mask means a coefficient
 of exactly zero.  Table operations (sums, scalar multiples, restriction,
 convolution, the dense vector over a domain, JSON output) are numpy
 operations on the two arrays; FiniteSubset objects are made only where the
-API hands out or takes in a subset (evaluate, table_items, the table= and
-rule= adapters).  A functional may instead be backed by a total rule: a function
-from an array of uint64 masks to the complex128 coefficients there.  Sums,
-scalar multiples, convolutions and approximants of a rule are rules that
-call their operands' rules on the same masks.  A scalar rule sigma ->
-complex (rule=, from_rule) is wrapped once into such a function, which
-memoises the scalar values by mask; no other functional holds state.  A
-rule has no table: it is read only over a domain (values_on, restricted),
-and table_items and the JSON form refuse it.
+API hands out or takes in a subset (evaluate, table_items, the table=
+argument, from_rule).  A functional may instead be backed by a total rule: a
+function from an array of uint64 masks to the complex128 coefficients there.
+Sums, scalar multiples, convolutions and approximants of a rule are rules
+that call their operands' rules on the same masks.  A scalar rule sigma ->
+complex (from_rule) is wrapped once into such a function, which memoises
+the scalar values by mask; no other functional holds state.  A rule has no
+table: it is read only over a domain (values_on, restricted), and
+table_items and the JSON form refuse it.
 
 The fock-coefficients/v1 document is read and written through formats.
 
@@ -75,9 +75,10 @@ class FockCoefficients:
     values; table_items() lists it as (FiniteSubset, complex) pairs in
     ascending mask order.  A rule (the rule attribute) maps an array of
     uint64 masks to their complex128 coefficients in one call; a
-    rule-backed functional holds empty arrays and has no table.  The rule=
-    argument takes a scalar rule sigma -> complex, which is adapted once.
-    _entries_on is the one reader of either backing over a domain.
+    rule-backed functional holds empty arrays and has no table.  from_rule
+    takes a scalar rule sigma -> complex, which is adapted once.  _hold sets
+    the state of every instance; _entries_on is the one reader of either
+    backing over a domain.
 
     support_bound: an upper bound N with all nonzero coefficients on
     subsets of {0,..,N}.  A declared bound is kept as given (from_vector,
@@ -86,15 +87,8 @@ class FockCoefficients:
     functionals).
     """
 
-    def __init__(
-        self,
-        table: Optional[Mapping[FiniteSubset, complex]] = None,
-        rule: Optional[Callable[[FiniteSubset], complex]] = None,
-        support_bound: Optional[int] = None,
-    ):
-        if rule is not None and table is not None:
-            raise ValueError("a functional has a table or a rule, not both")
-        self.rule = None if rule is None else _scalar_adapter(rule)
+    def __init__(self, table: Optional[Mapping[FiniteSubset, complex]] = None,
+                 support_bound: Optional[int] = None):
         table = table or {}
         for sigma in table:
             if not isinstance(sigma, FiniteSubset):
@@ -102,38 +96,38 @@ class FockCoefficients:
         masks = np.fromiter((s.mask for s in table), np.uint64, len(table))
         values = np.fromiter(map(complex, table.values()), np.complex128, len(table))
         order = np.argsort(masks)
-        self._adopt(masks[order], values[order], support_bound)
+        self._hold(masks[order], values[order], None, support_bound)
 
-    def _adopt(self, masks: np.ndarray, values: np.ndarray,
-               support_bound: Optional[int]) -> None:
-        """Hold strictly ascending masks and their values.  A table's missing
-        support bound is inferred from its largest mask; a given bound is
-        checked against it."""
-        self._masks, self._values = masks, values
+    def _hold(self, masks: np.ndarray, values: np.ndarray, rule: Optional[Callable],
+              support_bound: Optional[int]) -> "FockCoefficients":
+        """Hold strictly ascending masks and their values, or a mask-array
+        rule and empty arrays, and return self.  A table's missing support
+        bound is inferred from its largest mask; a given bound is checked
+        against it."""
+        self._masks, self._values, self.rule = masks, values, rule
         top = int(masks[-1]) if masks.size else 0
-        if support_bound is None and self.rule is None:
+        if support_bound is None and rule is None:
             support_bound = max(top.bit_length() - 1, 0)
         elif support_bound is not None and (support_bound < 0 or top >> support_bound > 1):
             raise ValueError(f"declared support bound {support_bound} is negative "
                              f"or misses table key {FiniteSubset(top)!r}")
         self.support_bound = support_bound
+        return self
 
     @classmethod
-    def _from_arrays(cls, masks: np.ndarray, values: np.ndarray, support_bound: Optional[int],
-                     drop_zeros: bool = True) -> "FockCoefficients":
+    def _from_arrays(cls, masks: np.ndarray, values: np.ndarray,
+                     support_bound: Optional[int]) -> "FockCoefficients":
         """Table-backed functional from strictly ascending masks and their
-        values, with the zero values dropped unless drop_zeros is false."""
-        phi, keep = cls(), (values != 0 if drop_zeros else slice(None))
-        phi._adopt(masks[keep], values[keep], support_bound)
-        return phi
+        values, with the zero values dropped."""
+        keep = values != 0
+        return cls.__new__(cls)._hold(masks[keep], values[keep], None, support_bound)
 
     @classmethod
     def _from_mask_rule(cls, rule: Callable, support_bound: Optional[int]) -> "FockCoefficients":
         """Rule-backed functional from a mask-array rule (uint64 masks to
         complex128 values)."""
-        phi = cls()
-        phi.rule, phi.support_bound = rule, support_bound
-        return phi
+        return cls.__new__(cls)._hold(np.empty(0, np.uint64), np.empty(0, np.complex128),
+                                      rule, support_bound)
 
     @classmethod
     def zero(cls) -> "FockCoefficients":
@@ -145,21 +139,20 @@ class FockCoefficients:
         return cls(table={sigma: 1.0})
 
     @classmethod
-    def from_rule(
-        cls,
-        rule: Callable[[FiniteSubset], complex],
-        support_bound: Optional[int] = None,
-    ) -> "FockCoefficients":
-        return cls(rule=rule, support_bound=support_bound)
+    def from_rule(cls, rule: Callable[[FiniteSubset], complex],
+                  support_bound: Optional[int] = None) -> "FockCoefficients":
+        """Rule-backed functional from a scalar rule sigma -> complex, adapted
+        once (see _scalar_adapter)."""
+        return cls._from_mask_rule(_scalar_adapter(rule), support_bound)
 
     @classmethod
     def from_vector(cls, values: np.ndarray, support_bound: int) -> "FockCoefficients":
         """Table-backed functional from a dense coefficient vector indexed by
         bitmask; zero entries are dropped."""
         masks = np.flatnonzero(values)  # nonnegative: viewed as uint64
-        return cls._from_arrays(masks.view(np.uint64),
-                                values[masks].astype(np.complex128, copy=False),
-                                support_bound, drop_zeros=False)
+        return cls.__new__(cls)._hold(masks.view(np.uint64),
+                                      values[masks].astype(np.complex128, copy=False),
+                                      None, support_bound)
 
     def evaluate(self, sigma: FiniteSubset) -> complex:
         """Coefficient at sigma: _at of its one mask (a table's value found by
@@ -271,7 +264,7 @@ class FockCoefficients:
         repeated = masks[1:][masks[1:] == masks[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate sigma {list(FiniteSubset(int(repeated[0])))} in file")
-        return cls._from_arrays(masks, values, bound, drop_zeros=False)
+        return cls.__new__(cls)._hold(masks, values, None, bound)  # stored zeros kept
 
     def __repr__(self) -> str:
         kind = "rule" if self.rule is not None else "table"

@@ -187,10 +187,8 @@ def biased_probabilities(space: SampleSpace, minus_prob: float) -> np.ndarray:
     if not 0.0 <= minus_prob <= 1.0:
         raise ValueError(f"minus_prob must lie in [0, 1], got {minus_prob}")
     probs = np.ones(space.size)
-    m = np.arange(space.size)
     for k in range(space.horizon + 1):
-        bit = (m >> k) & 1
-        probs *= np.where(bit == 1, minus_prob, 1.0 - minus_prob)
+        probs *= np.where(space.signs(k) < 0, minus_prob, 1.0 - minus_prob)
     return probs
 
 
@@ -220,13 +218,16 @@ class NormalMartingaleReport:
 
 
 def _conditional_given_prefix(values: np.ndarray, probs: np.ndarray, n_coords: int
-                              ) -> np.ndarray:
-    """E[values | coordinates 0..n_coords-1], one entry per atom: entry a is
-    the value on the points whose low n_coords bits are a.  n_coords = 0
-    conditions on the trivial sigma-field."""
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """E[values | coordinates 0..n_coords-1] on the atoms of positive mass,
+    and the boolean mask of those atoms: atom a holds the points whose low
+    n_coords bits are a.  Atoms of zero mass are skipped, since the
+    identities hold almost surely."""
     block = 1 << n_coords
     v, p = values.reshape(-1, block), probs.reshape(-1, block)
-    return (v * p).sum(axis=0) / p.sum(axis=0)  # over each atom's points
+    mass = p.sum(axis=0)
+    charged = mass > 0
+    return (v * p).sum(axis=0)[charged] / mass[charged], charged
 
 
 def verify_normal_martingale(
@@ -243,7 +244,7 @@ def verify_normal_martingale(
     (negative control) breaks the mean condition.  The walk is built one step
     at a time, holding only M_{n-1} and M_n; M_{n-1} is constant on each atom
     of the first n coordinates, so its value there is its value at the atom's
-    index.
+    index.  Atoms of zero mass are skipped.
     """
     space.domain().plan(56)  # M_{n-1}, M_n, the measure and the step's temporaries
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
@@ -256,8 +257,9 @@ def verify_normal_martingale(
     sq_dev = abs(float(np.dot(walk ** 2, probs)) - 1.0)  # E[M_0^2] = 1
     for n in range(1, space.horizon + 1):
         prev, walk = walk[:1 << n], walk + space.signs(n)  # prev: M_{n-1} per atom
-        cond_mean = _conditional_given_prefix(walk, probs, n)
-        cond_sq = _conditional_given_prefix(walk ** 2, probs, n)
+        cond_mean, charged = _conditional_given_prefix(walk, probs, n)
+        cond_sq, _ = _conditional_given_prefix(walk ** 2, probs, n)
+        prev = prev[charged]
         mean_dev = max(mean_dev, float(np.max(np.abs(cond_mean - prev))))
         sq_dev = max(sq_dev, float(np.max(np.abs(cond_sq - prev ** 2 - 1.0))))
 

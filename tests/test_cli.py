@@ -288,6 +288,16 @@ class TestConverge:
         assert done.returncode == 1 and done.stderr == ""
         assert json.loads(done.stdout) == {"status": "INCONCLUSIVE", "tail_start": 7}
 
+    def test_pgrid_must_be_ascending(self, tmp_path, capsys):
+        src = tmp_path / "seq.json"
+        write_json(src, approximation_sequence(indicator_functional(2), 3).to_json_dict())
+        with pytest.raises(SystemExit) as done:
+            main(["converge", "--in", str(src), "--pgrid=2,1"])
+        assert done.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("argument --pgrid: p-grid must be ascending\n")
+
     @pytest.mark.parametrize("pgrid", ["inf", "0,nan", "-1,0"])
     def test_growth_orders_must_be_finite_and_nonnegative(self, pgrid, tmp_path, capsys):
         src = tmp_path / "seq.json"

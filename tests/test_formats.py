@@ -163,7 +163,7 @@ def test_file_and_stdout_bytes_agree_across_blocks(tmp_path):
     vector = np.arange(n, dtype=np.complex128) + 0.5j
     vector[formats.BLOCK_ROWS:2 * formats.BLOCK_ROWS] = 0
     masks = np.arange(n, dtype=np.uint64) * np.uint64(1 << 20) + np.uint64(1 << 63)
-    phi = FockCoefficients._from_arrays(masks, vector, None, drop_zeros=False)
+    phi = FockCoefficients({FiniteSubset(m): v for m, v in zip(masks.tolist(), vector.tolist())})
     path = tmp_path / "phi.json"
     formats.write(phi.to_document(), str(path))
     assert path.read_text() == written(phi.to_document()) == canonical(fock_dict(phi))

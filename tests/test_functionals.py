@@ -210,6 +210,13 @@ class TestSobolevNorm:
         with pytest.warns(UserWarning, match="lower bound"):
             sobolev_norm(phi, 0, TruncatedDomain(2))
 
+    # numpy warns as |1e200|^2 overflows; the norm then reports inf itself
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_gives_inf_with_a_warning(self):
+        phi = table_functional([([], 1e200), ([1], 1.0)])
+        with pytest.warns(UserWarning, match="norm overflowed to infinity"):
+            assert sobolev_norm(phi, 0, TruncatedDomain(1)) == math.inf
+
 
 class TestPairing:
     def test_against_basis_is_evaluation(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +256,30 @@ class TestConditionalExpectation:
             assert np.max(np.abs(gg.values - g.values)) <= 1e-12
 
 
+    @pytest.mark.parametrize("n", [-1, 4])
+    def test_index_outside_the_horizon(self, n):
+        f = random_functional(SampleSpace(3), 5)
+        for expectation in (conditional_expectation, conditional_expectation_by_averaging):
+            with pytest.raises(OutOfHorizonError):
+                expectation(f, n)
+
+
+class TestBiasedProbabilities:
+    @pytest.mark.parametrize("minus_prob", [-0.1, 1.1, float("nan")])
+    def test_minus_prob_must_lie_in_the_unit_interval(self, minus_prob):
+        with pytest.raises(ValueError, match="minus_prob must lie in"):
+            biased_probabilities(SampleSpace(2), minus_prob)
+
+    @pytest.mark.parametrize("minus_prob", [0.0, 0.3, 1 / 3, 0.7, 0.75, 1.0])
+    def test_matches_the_bit_loop_bit_for_bit(self, minus_prob):
+        for horizon in range(9):
+            sp = SampleSpace(horizon)
+            want, m = np.ones(sp.size), np.arange(sp.size)
+            for k in range(horizon + 1):
+                want *= np.where((m >> k) & 1 == 1, minus_prob, 1.0 - minus_prob)
+            assert biased_probabilities(sp, minus_prob).tobytes() == want.tobytes()
+
+
 class TestNormalMartingaleVerifier:
     def test_exact_pass(self):
         report = verify_normal_martingale(SampleSpace(3))
@@ -270,6 +296,22 @@ class TestNormalMartingaleVerifier:
         mean = next(c for c in report.conditions if c.name == "conditional mean")
         assert not mean.passed
         assert mean.max_deviation == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("minus_prob", [0.0, 1.0])
+    def test_null_atoms_are_skipped(self, minus_prob):
+        # every coordinate is the same sign almost surely, so M_n = +-(n + 1):
+        # E[M_n | first n coords] - M_{n-1} = +-1 and the second moment is off
+        # by 2 |M_{n-1}| = 2n on the charged atom, 6 at n = 3
+        sp = SampleSpace(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_normal_martingale(sp, biased_probabilities(sp, minus_prob))
+        assert [c.max_deviation for c in report.conditions] == [1.0, 6.0]
+        assert not any(c.passed for c in report.conditions)
+
+    def test_probability_vector_length_checked(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            verify_normal_martingale(SampleSpace(2), np.full(4, 0.25))
 
     def test_json_report(self):
         data = verify_normal_martingale(SampleSpace(2)).to_json_dict()

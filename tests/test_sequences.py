@@ -464,6 +464,10 @@ class TestMartingaleLimit:
         limit = martingale_limit(seq, TruncatedDomain(3), tol=0.0)
         assert not list(limit.table_items())
 
+    def test_needs_two_terms(self):
+        with pytest.raises(InsufficientLengthError):
+            martingale_limit(indicator_sequence(0), TruncatedDomain(3))
+
     def test_limit_consistent_with_every_term(self):
         phi = FockCoefficients({
             FiniteSubset(0): 1.0,

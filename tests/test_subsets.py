@@ -58,6 +58,18 @@ class TestFiniteSubset:
         assert FiniteSubset(0).max_element() is None
         assert FiniteSubset.from_elements([0, 7]).max_element() == 7
 
+    @pytest.mark.parametrize("mask", [1.0, "3", None])
+    def test_mask_must_be_an_int(self, mask):
+        with pytest.raises(TypeError, match="mask must be an int"):
+            FiniteSubset(mask)
+
+    def test_membership(self):
+        s = FiniteSubset.from_elements([0, 3])
+        assert 0 in s and 3 in s
+        assert 1 not in s and -1 not in s
+        top = FiniteSubset((1 << 64) - 1)
+        assert 63 in top and 64 not in top and -1 not in top
+
 
 class TestWeight:
     def test_empty(self):
@@ -98,6 +110,10 @@ class TestIndicator:
         s = FiniteSubset(m)
         assert indicator(s, n) * indicator(s, n + 1) == indicator(s, n)
 
+    def test_level_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            indicator(FiniteSubset(0), -1)
+
 
 class TestTruncatedDomain:
     def test_enumeration_n0(self):
@@ -113,6 +129,12 @@ class TestTruncatedDomain:
     def test_nested(self):
         small = set(TruncatedDomain(2))
         assert small <= set(TruncatedDomain(4))
+
+    def test_membership(self):
+        d = TruncatedDomain(2)
+        assert FiniteSubset(0) in d and FiniteSubset.from_elements([0, 1, 2]) in d
+        assert FiniteSubset.from_elements([3]) not in d
+        assert FiniteSubset((1 << 64) - 1) not in d
 
     def test_guard(self, monkeypatch):
         # A budget of one FiniteSubset per mask of {0..3}.

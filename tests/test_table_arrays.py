@@ -194,7 +194,7 @@ def test_table_items_ascend_whatever_the_insertion_order():
 
 
 def test_table_and_rule_together_are_refused():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # no rule= argument: from_rule is the one entry
         FockCoefficients({FiniteSubset(0): 1.0}, rule=lambda s: 1.0)
 
 
