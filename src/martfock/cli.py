@@ -26,6 +26,8 @@ from .convolution import approximate, residual_curve
 from .functionals import FockCoefficients
 from .rademacher import RandomFunctional, SampleSpace, chaos_expand, synthesize
 from .sequences import (
+    DEFAULT_P_GRID,
+    DEFAULT_TOL,
     ConvergenceStatus,
     FunctionalSequence,
     is_generalized_martingale,
@@ -43,6 +45,11 @@ def _parse_pgrid(text: str) -> list[float]:
     if grid != sorted(grid):
         raise argparse.ArgumentTypeError("p-grid must be ascending")
     return grid
+
+
+def _horizon(args, bound: int) -> int:
+    """--horizon, or else the bound of the input's support."""
+    return bound if args.horizon is None else args.horizon
 
 
 def cmd_lambda(args) -> int:
@@ -76,19 +83,19 @@ def cmd_expand(args) -> int:
 
 def cmd_synthesize(args) -> int:
     c = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
-    f = synthesize(c, SampleSpace(c.support_bound if args.horizon is None else args.horizon))
+    f = synthesize(c, SampleSpace(_horizon(args, c.support_bound)))
     formats.write(f.to_document(), args.out)
     return EXIT_OK
 
 
-def _sequence_domain(seq: FunctionalSequence, horizon: int | None) -> TruncatedDomain:
-    bound = max(t.support_bound for t in seq.terms)  # a loaded table always has one
-    return TruncatedDomain(bound if horizon is None else horizon)
+def _sequence_domain(seq: FunctionalSequence, args) -> TruncatedDomain:
+    # A loaded table always has a support bound.
+    return TruncatedDomain(_horizon(args, max(t.support_bound for t in seq.terms)))
 
 
 def cmd_martingale_check(args) -> int:
     seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
-    domain = _sequence_domain(seq, args.horizon)
+    domain = _sequence_domain(seq, args)
     ok, witness = is_generalized_martingale(seq, domain, args.tol)
     report = {"passed": ok, "tol": args.tol, "horizon": domain.max_index}
     if witness is not None:
@@ -116,7 +123,7 @@ def _write_diagnostics_csv(path: str, diagnostics) -> None:
 
 def cmd_converge(args) -> int:
     seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
-    domain = _sequence_domain(seq, args.horizon)
+    domain = _sequence_domain(seq, args)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
     with formats.staged(args.out, args.csv) as (out, csv):
         formats.write(verdict.to_document(), out)
@@ -127,7 +134,7 @@ def cmd_converge(args) -> int:
 
 def cmd_approx(args) -> int:
     phi = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
-    domain = TruncatedDomain(phi.support_bound if args.horizon is None else args.horizon)
+    domain = TruncatedDomain(_horizon(args, phi.support_bound))
     approx = approximate(phi, args.level).restricted(domain)
     # The residuals come first, so a call that fails on them writes nothing.
     curve = residual_curve(phi, args.level, args.q, domain) if args.csv else None
@@ -141,56 +148,38 @@ def cmd_approx(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="martfock",
-        description="Fock-coefficient calculus on the Rademacher cube.",
-    )
+        prog="martfock", description="Fock-coefficient calculus on the Rademacher cube.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lambda", help="weight of a subset, given as a JSON array")
-    p.add_argument("sigma", help='e.g. "[0,1,3]"')
-    p.set_defaults(func=cmd_lambda)
+    # The options the file commands share.
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--in", dest="input", required=True)
+    files.add_argument("--out")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[files])
+    bounded.add_argument("--horizon", type=int)
+    checked = argparse.ArgumentParser(add_help=False, parents=[bounded])
+    checked.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = sub.add_parser("series", help="truncated weighted series vs its oracles")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("lambda", cmd_lambda, "weight of a subset, given as a JSON array")
+    p.add_argument("sigma", help='e.g. "[0,1,3]"')
+    p = command("series", cmd_series, "truncated weighted series vs its oracles")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("expand", help="chaos-expand a random-functional file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("synthesize", help="rebuild sample values from coefficients")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("martingale-check", help="truncation-martingale predicate")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_martingale_check)
-
-    p = sub.add_parser("converge", help="strong-convergence verdict for a sequence")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--pgrid", type=_parse_pgrid, default=[0.0, 1.0, 2.0])
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
+    command("expand", cmd_expand, "chaos-expand a random-functional file", files)
+    command("synthesize", cmd_synthesize, "rebuild sample values from coefficients", bounded)
+    command("martingale-check", cmd_martingale_check, "truncation-martingale predicate", checked)
+    p = command("converge", cmd_converge, "strong-convergence verdict for a sequence", checked)
+    p.add_argument("--pgrid", type=_parse_pgrid, default=DEFAULT_P_GRID)
     p.add_argument("--csv", help="per-subset diagnostics CSV")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("approx", help="truncation approximant and residual curve")
-    p.add_argument("--in", dest="input", required=True)
+    p = command("approx", cmd_approx, "truncation approximant and residual curve", bounded)
     p.add_argument("--n", dest="level", type=int, required=True)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
     p.add_argument("--csv", help="residual curve CSV")
-    p.set_defaults(func=cmd_approx)
-
     return parser
 
 

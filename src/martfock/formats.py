@@ -239,13 +239,16 @@ def staged(*paths: str | None):
     """The paths to write for the given output paths: a temporary file beside
     a regular or new file (beside a symlink's target, not the link), else
     the path itself (None, for stdout, and a special file such as a device
-    or a pipe, which cannot be replaced).  When the block ends, every
-    temporary file replaces its target with os.replace; when it raises, they
-    are removed."""
+    or a pipe, which cannot be replaced).  Two paths to one file raise
+    ValueError, since one output would replace the other.  When the block
+    ends, every temporary file replaces its target with os.replace; when it
+    raises, they are removed."""
     targets, out = {}, []
     for path in paths:
         if path and (os.path.isfile(path) or not os.path.exists(path)):
             target = os.path.realpath(path)
+            if target in targets.values():
+                raise ValueError(f"two outputs name one file: {target}")
             path = f"{target}.{os.urandom(4).hex()}.tmp"
             targets[path] = target
         out.append(path)

@@ -24,6 +24,7 @@ from .rademacher import RandomFunctional, fwht
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
 
 DEFAULT_TOL = 1e-9
+DEFAULT_P_GRID = (0.0, 1.0, 2.0)  # growth orders a certificate is fitted over
 # Bytes per domain mask each path plans: its tracemalloc peak at horizon 13,
 # rows read and growth fit included, rounded up to 8.  The terms are read two
 # rows at a time, so the peak is the same at 4 terms as at 32.
@@ -218,7 +219,7 @@ def strong_convergence_test(
     seq: FunctionalSequence,
     domain: TruncatedDomain,
     tol: float = DEFAULT_TOL,
-    p_grid: Sequence[float] = (0.0, 1.0, 2.0),
+    p_grid: Sequence[float] = DEFAULT_P_GRID,
 ) -> ConvergenceVerdict:
     """Convergence verdict from two ingredients: per-subset stabilization of
     the coefficients, and a uniform growth certificate fitted to their
@@ -339,13 +340,13 @@ class UniformBound:
 def uniform_boundedness(
     functionals: Iterable[FockCoefficients],
     domain: TruncatedDomain,
-    p_grid: Sequence[float] = (0.0, 1.0, 2.0),
-    dual_order: Optional[float] = None,
+    p_grid: Sequence[float] = DEFAULT_P_GRID,
 ) -> Optional[UniformBound]:
     """Fit a growth certificate to the pointwise sup of |F| over the family,
     iterated once and read one term at a time, never listed (ValueError if
     a magnitude is not a finite float); when one is found, also report the
-    induced bound on the dual norms."""
+    induced bound on the dual norms of order q = order + 1.  The bound at any
+    other order q is dual_norm_bound(bound.certificate, q)."""
     domain.plan(UNIFORM_BYTES)
     sup_abs, n = np.zeros(domain.size), -1
     for n, phi in enumerate(functionals):
@@ -355,5 +356,5 @@ def uniform_boundedness(
     _, cert = fit_growth_values(sup_abs, weight_vector(domain), p_grid, domain)
     if cert is None:
         return None
-    q = cert.order + 1.0 if dual_order is None else dual_order
+    q = cert.order + 1.0
     return UniformBound(cert, q, dual_norm_bound(cert, q))

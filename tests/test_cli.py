@@ -349,17 +349,21 @@ class TestConverge:
 
 
 class TestOutputFiles:
-    @pytest.mark.parametrize("command", ["approx", "converge"])
-    @pytest.mark.parametrize("missing", ["--csv", "--out"])
-    def test_two_outputs_are_written_or_neither(self, command, missing, tmp_path, capsys):
+    @staticmethod
+    def two_output_argv(command, tmp_path):
+        """argv of a passing call of command on tmp_path/in.json, which it writes."""
         src = tmp_path / "in.json"
         if command == "approx":
             write_json(src, indicator_functional(2).to_json_dict())
-            argv = ["approx", "--in", str(src), "--n", "1"]
-        else:
-            terms = [indicator_functional(n) for n in range(4)]
-            write_json(src, FunctionalSequence(terms).to_json_dict())
-            argv = ["converge", "--in", str(src)]
+            return ["approx", "--in", str(src), "--n", "1"]
+        terms = [indicator_functional(n) for n in range(4)]
+        write_json(src, FunctionalSequence(terms).to_json_dict())
+        return ["converge", "--in", str(src)]
+
+    @pytest.mark.parametrize("command", ["approx", "converge"])
+    @pytest.mark.parametrize("missing", ["--csv", "--out"])
+    def test_two_outputs_are_written_or_neither(self, command, missing, tmp_path, capsys):
+        argv = self.two_output_argv(command, tmp_path)
         paths = {"--out": tmp_path / "a.json", "--csv": tmp_path / "r.csv"}
         unwritable = {**paths, missing: tmp_path / "missing" / "dir" / "file"}
         assert main([*argv, *(str(x) for item in unwritable.items() for x in item)]) == 2
@@ -370,6 +374,20 @@ class TestOutputFiles:
         # Both land once both can be written, and no temporary file is left.
         assert main([*argv, *(str(x) for item in paths.items() for x in item)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "in.json", "r.csv"]
+
+    @pytest.mark.parametrize("command", ["approx", "converge"])
+    def test_two_outputs_naming_one_file_are_refused(self, command, tmp_path, capsys):
+        argv = self.two_output_argv(command, tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path / "x")
+        for out, csv_path in (("x", "x"), ("x", "./x"), ("link", "x")):
+            assert main([*argv, "--out", os.path.join(tmp_path, out),
+                         "--csv", os.path.join(tmp_path, csv_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "link"]
+        # A device is written in place, not staged, so it may be named twice.
+        assert main([*argv, "--out", os.devnull, "--csv", os.devnull]) == 0
 
     def test_links_and_special_files_are_written_through(self, tmp_path):
         # A symlink keeps pointing at its target, which gets the bytes; a pipe
@@ -458,3 +476,45 @@ class TestApprox:
             residuals = [float(r["residual"]) for r in csv.DictReader(handle)]
         assert residuals[2] > 0
         assert residuals[3] == residuals[4] == 0.0
+
+
+class TestParser:
+    # Every subcommand's option strings, and what parse_args gives for its
+    # required arguments alone.
+    INVENTORY = {
+        "lambda": (set(), ["[]"], {"sigma": "[]"}),
+        "series": ({"--p", "--horizon"}, ["--p", "2", "--horizon", "3"],
+                   {"p": 2.0, "horizon": 3}),
+        "expand": ({"--in", "--out"}, ["--in", "f"], {"input": "f", "out": None}),
+        "synthesize": ({"--in", "--out", "--horizon"}, ["--in", "f"],
+                       {"input": "f", "out": None, "horizon": None}),
+        "martingale-check": ({"--in", "--out", "--horizon", "--tol"}, ["--in", "f"],
+                             {"input": "f", "out": None, "horizon": None, "tol": 1e-9}),
+        "converge": ({"--in", "--out", "--horizon", "--tol", "--pgrid", "--csv"},
+                     ["--in", "f"], {"input": "f", "out": None, "horizon": None,
+                                     "tol": 1e-9, "pgrid": (0.0, 1.0, 2.0), "csv": None}),
+        "approx": ({"--in", "--out", "--horizon", "--n", "--q", "--csv"},
+                   ["--in", "f", "--n", "2"], {"input": "f", "out": None, "horizon": None,
+                                                "level": 2, "q": 1.0, "csv": None}),
+    }
+
+    def test_every_subcommand_accepts_its_options_with_their_defaults(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(commands) == set(self.INVENTORY)
+        for name, (options, argv, defaults) in self.INVENTORY.items():
+            accepted = {s for a in commands[name]._actions for s in a.option_strings}
+            assert accepted == options | {"-h", "--help"}, name
+            parsed = vars(parser.parse_args([name, *argv]))
+            assert parsed.pop("command") == name
+            assert parsed.pop("func") is getattr(cli, "cmd_" + name.replace("-", "_"))
+            if "pgrid" in parsed:
+                parsed["pgrid"] = tuple(parsed["pgrid"])
+            assert parsed == defaults, name
+
+    def test_required_options(self, capsys):
+        for argv in (["series", "--p", "2"], ["expand"], ["approx", "--in", "f"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.build_parser().parse_args(argv)
+            assert exit_.value.code == 2
+        assert capsys.readouterr().err.count("the following arguments are required") == 3

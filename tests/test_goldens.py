@@ -1,6 +1,7 @@
 """Every benchmark workload's CLI output bytes and exit codes against the
 recorded sha256s (the check `python3 tools/goldens.py` makes), for both
-seeds.  The demos' entries in the same file are checked by test_demos.py."""
+seeds, and its API pass against its own oracles.  The demos' entries in the
+same file are checked by test_demos.py."""
 
 import importlib.util
 import json
@@ -28,3 +29,18 @@ def test_outputs_match_recorded_sha256s(monkeypatch):
     assert found == {key: value for key, value in recorded.items()
                      if not key.startswith("demos/")}
     assert len(found) == 22
+
+
+def test_api_passes_meet_their_oracles(monkeypatch, tmp_path):
+    # The in-process pass bench/run.py times, checked as bench/run.py checks
+    # it, so an API change that breaks a workload fails here first.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(ROOT / "src"), str(ROOT / "bench"), *sys.path])
+    import workloads
+
+    before = bench_files()
+    for name, cls in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        workload = cls(1, tmp_path / name)
+        workload.check_lib(workload.lib_pass())
+    assert bench_files() == before
