@@ -283,8 +283,8 @@ class GrowthCertificate:
 
     def __post_init__(self):
         for name, value in (("scale", self.scale), ("order", self.order)):
-            if not value >= 0:  # NaN too
-                raise ValueError(f"certificate {name} must be >= 0, got {value}")
+            if not 0 <= value < np.inf:  # NaN too
+                raise ValueError(f"certificate {name} must be >= 0 and finite, got {value}")
 
     def bound_at(self, weights: np.ndarray) -> np.ndarray:
         """scale * weight^order at each weight; ValueError if it overflows."""
@@ -351,7 +351,8 @@ def fit_growth_values(
     For each grid order p, C(p) = max |F| * weight^(-p) (exact on the vectors).
     The selected certificate takes the smallest p whose maximizing subset has
     weight at most half the largest domain weight, a stability heuristic
-    against bounds driven by the truncation edge.
+    against bounds driven by the truncation edge.  A C(p) that is not a
+    finite float raises ValueError.
     """
     p_grid = list(p_grid)
     if not p_grid:
@@ -365,6 +366,8 @@ def fit_growth_values(
         ratios = abs_values * weights ** (-float(p))
         idx = int(np.argmax(ratios))
         curve[p] = float(ratios[idx])
+        if not curve[p] < np.inf:  # NaN too
+            raise ValueError(f"growth-bound scale C({p}) = {curve[p]} is not finite")
         if selected is None and weights[idx] <= w_max / 2.0:
             selected = GrowthCertificate(curve[p], p, domain)
     return curve, selected

@@ -109,28 +109,51 @@ def l2_norm(f: RandomFunctional) -> float:
     return float(np.sqrt(inner_product(f, f).real))
 
 
+def _butterflies(v: np.ndarray, scratch: np.ndarray, h: int) -> None:
+    """One stage in place on a float64 vector: (a, b) -> (a + b, a - b) on
+    the halves of every block of 2h values.  scratch holds at least half of
+    v and is overwritten."""
+    pairs, diff = v.reshape(-1, 2, h), scratch[: v.size // 2].reshape(-1, h)
+    top, bottom = pairs[:, 0], pairs[:, 1]
+    np.subtract(top, bottom, out=diff)
+    top += bottom
+    bottom[...] = diff
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (self-inverse up to 1/size).
 
     Output index s holds sum over m of (-1)^popcount(s & m) * values[m].
     Raises ValueError on a non-finite input and when a butterfly overflows
-    float64.
+    float64; the input is not changed.
+
+    Bit contract: for each bit k, in ascending order, every pair of indices
+    (m, m + 2^k) with bit k of m clear becomes (a + b, a - b), so every
+    output has the bits of the radix-2 loop over h = 1, 2, 4, ....  A stage
+    is two float64 adds per complex value.  The low half of the bits
+    (k < b = floor(log2(size) / 2)) runs on the (2^b x size/2^b) transpose,
+    where their pairs lie in contiguous runs of at least size/2^b values;
+    the high bits run after transposing back.  The two complex buffers are
+    each other's scratch.
     """
-    v = np.array(values, dtype=np.complex128)
-    n = v.size
+    x = np.asarray(values, dtype=np.complex128)
+    n = x.size
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    if not np.isfinite(v.view(np.float64)).all():  # real and imaginary parts
+    bits = max(n.bit_length() - 1, 0)
+    low = bits // 2
+    rows, cols = n >> low, 1 << low  # index m = row * cols + col
+    moved = np.empty(n, dtype=np.complex128)
+    np.copyto(moved.reshape(cols, rows), x.reshape(rows, cols).T)
+    if not np.isfinite(moved.view(np.float64)).all():  # real and imaginary parts
         raise ValueError("Walsh-Hadamard transform input holds a non-finite value")
-    h, scratch = 1, np.empty(n // 2, dtype=np.complex128)
+    v = np.empty(n, dtype=np.complex128)
     with float_checked("Walsh-Hadamard transform overflows float64"):
-        while h < n:  # butterflies (a, b) -> (a + b, a - b) on halves of blocks of 2h
-            pairs, diff = v.reshape(-1, 2 * h), scratch.reshape(-1, h)
-            top, bottom = pairs[:, :h], pairs[:, h:]
-            np.subtract(top, bottom, out=diff)
-            top += bottom
-            bottom[...] = diff
-            h *= 2
+        for k in range(low):  # bit k of col: rows 2^k apart in the transpose
+            _butterflies(moved.view(np.float64), v.view(np.float64), 2 * rows << k)
+        np.copyto(v.reshape(rows, cols), moved.reshape(cols, rows).T)
+        for k in range(low, bits):
+            _butterflies(v.view(np.float64), moved.view(np.float64), 2 << k)
     return v
 
 

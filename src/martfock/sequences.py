@@ -207,10 +207,13 @@ def _finite_abs(n: int, row: np.ndarray) -> np.ndarray:
 def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
     """The coefficient sequence of the classical martingale n -> E[f | first
     n+1 coordinates]: term n is the chaos table of f truncated to subsets of
-    {0,..,n}."""
-    coeffs = fwht(f.values) / f.space.size
+    {0,..,n}.  Every term holds views of one table's prefix arrays."""
+    coeffs = fwht(f.values)
+    coeffs /= f.space.size
+    table = FockCoefficients.from_vector(coeffs, f.space.horizon)
     return FunctionalSequence([
-        FockCoefficients.from_vector(coeffs[: 2 << n], n)
+        FockCoefficients.__new__(FockCoefficients)._hold(
+            *table._entries_on(TruncatedDomain(n)), None, n)
         for n in range(f.space.horizon + 1)
     ])
 

@@ -163,10 +163,10 @@ def indicator(sigma: FiniteSubset, n: int) -> int:
 def weight_vector(domain: TruncatedDomain) -> np.ndarray:
     """Weights of every subset in the domain, ascending bitmask order (float64).
 
-    Built by doubling: the masks in [2^k, 2^(k+1)) weigh (k+1) times the
-    masks below 2^k, so every weight is multiplied up from 1.0 in ascending k.
-    That order is the contract: it fixes the rounding of products beyond the
-    exact float64 range, bit for bit.
+    Product contract: the weight of sigma is 1.0 times (k+1) for each k in
+    sigma, multiplied in ascending order of k; that order fixes the rounding
+    of products beyond the exact float64 range, bit for bit.  Built by
+    doubling: the masks in [2^k, 2^(k+1)) are (k+1) times the masks below 2^k.
     """
     domain.plan(8)
     w = np.ones(domain.size)

@@ -135,8 +135,10 @@ def test_non_finite_values_are_refused_on_both_sides(table, bad, mask):
     f = RandomFunctional(SampleSpace(1), [1.0, bad, 0.0, 2j])
     documents.append((f.to_document(), values_dict(f)))
     verdict = ConvergenceVerdict(ConvergenceStatus.CONVERGED, limit=FockCoefficients(),
-                                 uniform_certificate=GrowthCertificate(math.inf, 1.0))
-    documents.append((verdict.to_document(), {"certificate": {"scale": math.inf}}))
+                                 uniform_certificate=GrowthCertificate(1.0, 1.0))
+    report = verdict.to_document()
+    report["certificate"]["scale"] = math.inf  # GrowthCertificate refuses an infinite scale
+    documents.append((report, {"certificate": {"scale": math.inf}}))
     for doc, reference in documents:
         with pytest.raises(ValueError):
             canonical(reference)

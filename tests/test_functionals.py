@@ -300,6 +300,12 @@ class TestGrowthCertificates:
         with pytest.raises(ValueError):
             fit_growth(FockCoefficients.zero(), TruncatedDomain(2), [])
 
+    def test_overflowing_magnitude_is_refused_not_certified(self):
+        # |1.5e308 + 1.5e308j| overflows, so C(0) = inf
+        phi = FockCoefficients({FiniteSubset(0): 1.5e308 + 1.5e308j})
+        with pytest.raises(ValueError, match="growth-bound scale C\\(0\\) = inf is not finite"):
+            fit_growth(phi, TruncatedDomain(2), [0, 1])
+
     def test_verify_accepts_fitted(self):
         d = TruncatedDomain(4)
         rng = np.random.default_rng(3)
@@ -335,6 +341,12 @@ class TestGrowthCertificates:
             GrowthCertificate(-1.0, 0.0)
         with pytest.raises(ValueError):
             GrowthCertificate(1.0, -0.5)
+
+    @pytest.mark.parametrize("scale, order", [(float("inf"), 1.0), (1.0, float("inf"))])
+    def test_infinite_certificate_fields_refused(self, scale, order):
+        # an infinite scale made dual_norm_bound return inf
+        with pytest.raises(ValueError, match="must be >= 0 and finite, got inf"):
+            GrowthCertificate(scale, order)
 
     def test_nan_certificate_fields_refused(self):
         with pytest.raises(ValueError, match="scale must be >= 0"):

@@ -35,6 +35,7 @@ from martfock.rademacher import (
     SampleSpace,
     chaos_expand,
     conditional_expectation,
+    fwht,
     synthesize,
     verify_normal_martingale,
 )
@@ -110,6 +111,9 @@ PATHS = {
         lambda: (classical_to_sequence(RandomFunctional(SampleSpace(HORIZON),
                                                         sample_values())),),
         lambda seq: strong_convergence_test(seq, DOMAIN)),
+    "classical_to_sequence": (
+        lambda: (sample_values(),),
+        lambda v: classical_to_sequence(RandomFunctional(SampleSpace(HORIZON), v))),
     "martingale_limit": (
         lambda: (classical_to_sequence(RandomFunctional(SampleSpace(HORIZON),
                                                         sample_values())),),
@@ -307,6 +311,14 @@ def test_uniform_boundedness_reads_a_lazy_family_one_term_at_a_time():
         assert peak <= 4 * planned, (length, peak / DOMAIN.size)
         per_mask.append(peak / DOMAIN.size)
     assert abs(per_mask[1] - per_mask[0]) < 16, per_mask
+
+
+def test_fwht_holds_at_most_two_vectors_and_half_a_scratch():
+    # 16 bytes per point for the transposed copy, 16 for the result (each is
+    # the other's scratch): within two complex vectors and a half-size float
+    # scratch, 40.
+    values = sample_values()
+    assert traced_peak(fwht, values) <= 40 * values.size
 
 
 def test_verifier_peak_does_not_grow_with_the_horizon():

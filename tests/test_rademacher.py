@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from martfock.functionals import FockCoefficients, sobolev_norm
+from martfock.functionals import FockCoefficients, float_checked, sobolev_norm
 from martfock.rademacher import (
     OutOfHorizonError,
     RandomFunctional,
@@ -133,6 +133,22 @@ class TestFwht:
         with pytest.raises(ValueError, match="non-finite"):
             fwht(np.array([bad, 1.0]))
 
+    @pytest.mark.parametrize("log_size", range(19))
+    def test_bit_identical_to_the_radix2_loop(self, log_size):
+        for values in (extreme_parts(log_size, seed=log_size), tiny_parts(log_size)):
+            before = values.copy()
+            out = fwht(values)
+            assert np.array_equal(out.view(np.int64), radix2_loop(values).view(np.int64))
+            assert np.array_equal(values.view(np.int64), before.view(np.int64))
+
+    def test_overflow_raised_as_by_the_radix2_loop(self):
+        for values in (np.array([1e308, 1e308]), np.full(64, 1e308 + 1e308j)):
+            before = values.copy()
+            for transform in (fwht, radix2_loop):
+                with pytest.raises(ValueError, match="overflows float64"):
+                    transform(values)
+            assert np.array_equal(values, before)
+
     def test_non_finite_rejected_by_every_caller(self):
         sp = SampleSpace(2)
         for bad in (np.inf, np.nan):
@@ -143,6 +159,85 @@ class TestFwht:
             c = FockCoefficients({FiniteSubset(2): bad}, support_bound=1)
             with pytest.raises(ValueError, match="non-finite"):
                 synthesize(c, sp)
+
+
+def radix2_loop(values):
+    """Reference transform: the in-place radix-2 loop over h = 1, 2, 4, ...,
+    butterflies (a, b) -> (a + b, a - b) on the halves of blocks of 2h."""
+    v = np.array(values, dtype=np.complex128)
+    h, scratch = 1, np.empty(v.size // 2, dtype=np.complex128)
+    with float_checked("Walsh-Hadamard transform overflows float64"):
+        while h < v.size:
+            pairs, diff = v.reshape(-1, 2 * h), scratch.reshape(-1, h)
+            top, bottom = pairs[:, :h], pairs[:, h:]
+            np.subtract(top, bottom, out=diff)
+            top += bottom
+            bottom[...] = diff
+            h *= 2
+    return v
+
+
+def extreme_parts(log_size, seed):
+    """2^log_size complex values whose real and imaginary parts are, at
+    random, subnormal, +0.0 or -0.0, near 1e300, or of order 1."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal(2 << log_size)
+    return (parts * rng.choice([1e-310, 0.0, 1e300, 1.0], parts.size)).view(np.complex128)
+
+
+def tiny_parts(log_size):
+    """Parts of order 1e-320 or signed zeros, so every partial sum is subnormal."""
+    rng = np.random.default_rng(100 + log_size)
+    parts = rng.standard_normal(2 << log_size)
+    return (parts * rng.choice([1e-320, 0.0], parts.size)).view(np.complex128)
+
+
+def product_form(horizon, seed):
+    """f(m) = prod over k of (a_k if bit k of m is 0, else b_k), complex a_k
+    and b_k: its factors, its values, and its chaos coefficients, the
+    Kronecker product of the pairs [(a_k + b_k)/2, (a_k - b_k)/2] (bit k
+    indexes the k-th factor from the right)."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.uniform(0.5, 1.5, horizon + 1) * np.exp(2j * np.pi * rng.random(horizon + 1))
+            for _ in range(2))
+    values = coefficients = np.ones(1, dtype=np.complex128)
+    for k in range(horizon + 1):
+        values = np.kron([a[k], b[k]], values)
+        coefficients = np.kron([(a[k] + b[k]) / 2, (a[k] - b[k]) / 2], coefficients)
+    return a, b, values, coefficients
+
+
+def rms(v):
+    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
+
+
+# Errors are compared in the L2 norm relative to that of the coefficients
+# (Parseval: the rms of f).  One transform errs by at most about
+# sqrt(2) (horizon + 1) eps of it, and the Kronecker products by (horizon + 1)
+# eps: under 1e-14 together up to horizon 16.
+PRODUCT_RTOL = 1e-14
+
+
+class TestProductFormOracle:
+    """chaos_expand, synthesize and conditional_expectation against the
+    closed form of a product functional, which shares no code with fwht."""
+
+    @pytest.mark.parametrize("horizon", range(17))
+    def test_walsh_paths_meet_the_closed_form(self, horizon):
+        a, b, values, coefficients = product_form(horizon, seed=horizon)
+        sp, scale = SampleSpace(horizon), rms(values)
+        c = chaos_expand(RandomFunctional(sp, values)).values_on(sp.domain())
+        assert np.sqrt(np.sum(np.abs(c - coefficients) ** 2)) <= PRODUCT_RTOL * scale
+        g = synthesize(FockCoefficients.from_vector(coefficients, horizon), sp).values
+        assert rms(g - values) <= PRODUCT_RTOL * scale
+        for n in range(horizon + 1):
+            # E[f | coordinates 0..n] averages each later factor over its two values
+            expected = np.ones(1, dtype=np.complex128)
+            for k in range(horizon + 1):
+                mean = (a[k] + b[k]) / 2
+                expected = np.kron([a[k], b[k]] if k <= n else [mean, mean], expected)
+            g = conditional_expectation(RandomFunctional(sp, values), n).values
+            assert rms(g - expected) <= PRODUCT_RTOL * scale
 
 
 class TestChaosExpansion:

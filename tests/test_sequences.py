@@ -119,6 +119,21 @@ class TestClassicalToSequence:
             assert [repr(v) for _, v in got] == [repr(v) for _, v in expected]
             assert term.support_bound == n
 
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 12])
+    def test_terms_are_views_of_one_table(self, horizon):
+        # Each term is the prefix of the last one's arrays, with the masks,
+        # value bits and bound of a table built from its own coefficients.
+        f = random_functional(SampleSpace(horizon), 7)
+        coeffs = fwht(f.values) / f.space.size
+        seq = classical_to_sequence(f)
+        last = seq[horizon]
+        for n, term in enumerate(seq.terms):
+            alone = FockCoefficients.from_vector(coeffs[: 2 << n], n)
+            assert np.array_equal(term._masks, alone._masks)
+            assert np.array_equal(term._values.view(np.int64), alone._values.view(np.int64))
+            assert term.support_bound == n
+            assert np.shares_memory(term._values, last._values) or not term._values.size
+
     def test_last_term_is_full_expansion(self):
         sp = SampleSpace(5)
         f = random_functional(sp, 9)
