@@ -15,7 +15,7 @@ import numpy as np
 
 from .functionals import FockCoefficients, InsufficientOrderError, _product, float_checked
 from .sequences import FunctionalSequence
-from .subsets import TruncatedDomain, mask_weights
+from .subsets import TruncatedDomain, _low_weights, mask_weights, weight_vector
 
 INDICATOR_MAX_LEVEL = 20
 
@@ -87,9 +87,9 @@ def approximation_residual(
 
     Non-increasing in n, exactly 0 once n covers the domain.  q must exceed
     the functional's growth order by more than 1/2 for the untruncated
-    residual series to converge.  A table's residual costs its nonzeros in
-    the domain plus one float64 per domain mask; no dense complex vector is
-    built.
+    residual series to converge.  A call costs its kernels over the masks
+    from 2^(n+1) on (the power, |F|^2 and the sum; see _residuals); no dense
+    complex vector is built.
     """
     return _residuals(phi, [n], q, domain)[0]
 
@@ -100,30 +100,43 @@ def residual_curve(
     q: float,
     domain: TruncatedDomain,
 ) -> list[float]:
-    """approximation_residual at every n = 0..level, from one pass: for a
-    table, its nonzeros in the domain plus one float64 per domain mask, with
-    no dense complex vector."""
+    """approximation_residual at every n = 0..level, from one vector of
+    terms over the masks outside {0}: one power and one |F|^2 per mask, and
+    one sum per level, with no dense complex vector."""
     return _residuals(phi, range(level + 1), q, domain)
 
 
 def _residuals(phi, levels, q, domain) -> list[float]:
     """Residuals at the given levels from one vector of terms
-    weight^(-2q) |F|^2: the subsets outside {0,..,n} are exactly the masks
-    from 2^(n+1) on, so each level sums a suffix of that vector (an empty
-    one once n >= max_index).  The terms are computed at phi's entries only
-    and scattered into a zeroed domain-size vector, so every suffix is summed
-    in the same order, and to the same bits, as over a dense vector.  A term
-    or a sum that overflows raises ValueError."""
+    weight^(-2q) |F|^2 over the masks from start = 2^(min level + 1) on: the
+    subsets outside {0,..,n} are exactly the masks from 2^(n+1) on, so each
+    level sums a suffix of that vector (an empty one once n >= max_index).
+
+    Where phi's entries fill that range (a dense table, every rule read), the
+    weights are a slice of weight_vector (of the read-only low table up to
+    2^16 masks) and the terms are computed in place, with nothing gathered
+    or scattered.  Otherwise the terms are computed at phi's entries and
+    scattered into a zeroed vector of the range.  Either way each level sums
+    the same contents, in the same order and to the same bits, as over a
+    dense domain vector.  A term or a sum that overflows raises ValueError."""
     if not q > 0.5:  # NaN too
         raise InsufficientOrderError(f"residual order q={q} too small; "
                                      "needs q > growth order + 1/2")
     domain.plan(8)  # the terms vector; a rule's read plans itself
     if all(n >= domain.max_index for n in levels):
         return [0.0 for _ in levels]
+    start = 1 << (min(levels) + 1)
     masks, values = phi._entries_on(domain)
-    masks = masks.view(np.int64)  # the same values once planned; numpy indexes int64 faster
+    first = masks.searchsorted(np.uint64(start))
+    # int64: the same values once planned, and numpy indexes int64 faster
+    masks, values = masks[first:].view(np.int64), values[first:]
     with float_checked(f"a residual term or sum at order q={q} overflows the float range"):
-        entries = mask_weights(masks, domain.max_index) ** (-2.0 * q) * np.abs(values) ** 2
-        terms = np.zeros(domain.size)
-        terms[masks] = entries
-        return [float(np.sqrt(np.sum(terms[1 << (n + 1):]))) for n in levels]
+        squares = np.abs(values) ** 2
+        if masks.size == domain.size - start:  # ascending, so masks[i] == start + i
+            weights = _low_weights() if domain.max_index < 16 else weight_vector(domain)
+            terms = weights[start:domain.size] ** (-2.0 * q)
+            terms *= squares
+        else:
+            terms = np.zeros(domain.size - start)
+            terms[masks - start] = mask_weights(masks, domain.max_index) ** (-2.0 * q) * squares
+        return [float(np.sqrt(np.sum(terms[(1 << (n + 1)) - start:]))) for n in levels]

@@ -59,6 +59,7 @@ def _scalar_adapter(rule: Callable[[FiniteSubset], complex]) -> Callable[[np.nda
     return lambda masks: np.fromiter(map(value, masks.tolist()), np.complex128, masks.size)
 
 
+@float_checked("a coefficient product overflows the float range")
 def _product(a, b) -> np.ndarray:
     """Elementwise a * b by the textbook complex product, so every entry is
     rounded exactly as Python's complex multiply rounds it (numpy's complex
@@ -66,6 +67,9 @@ def _product(a, b) -> np.ndarray:
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
     return np.stack([re, im], axis=-1).view(np.complex128)[..., 0]
+
+
+_sum = float_checked("a coefficient sum overflows the float range")(np.add)
 
 
 class FockCoefficients:
@@ -217,12 +221,13 @@ class FockCoefficients:
     def __add__(self, other: "FockCoefficients") -> "FockCoefficients":
         if self.rule is not None or other.rule is not None:
             bounds = (self.support_bound, other.support_bound)
-            return FockCoefficients._from_mask_rule(lambda m: np.add(self._at(m), other._at(m)),
+            return FockCoefficients._from_mask_rule(lambda m: _sum(self._at(m), other._at(m)),
                                                     None if None in bounds else max(bounds))
         masks = np.union1d(self._masks, other._masks)
         values = np.zeros(masks.size, dtype=np.complex128)
         values[masks.searchsorted(self._masks)] = self._values
-        values[masks.searchsorted(other._masks)] += other._values
+        at = masks.searchsorted(other._masks)
+        values[at] = _sum(values[at], other._values)
         return FockCoefficients._from_arrays(masks, values, None)
 
     def __sub__(self, other: "FockCoefficients") -> "FockCoefficients":
@@ -337,7 +342,8 @@ def pairing(phi: FockCoefficients, xi: FockCoefficients,
     Bilinear (no conjugation); pairing phi against the basis functional at
     sigma returns phi's coefficient at sigma.
     """
-    return complex(np.sum(phi.values_on(domain) * xi.values_on(domain)))
+    with float_checked("the pairing overflows the float range"):
+        return complex(np.sum(phi.values_on(domain) * xi.values_on(domain)))
 
 
 def fit_growth_values(

@@ -160,8 +160,9 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def chaos_expand(f: RandomFunctional) -> FockCoefficients:
     """Walsh chaos coefficients c(sigma) = <Z_sigma, f> for all sigma within
     the horizon, via the fast transform."""
-    return FockCoefficients.from_vector(fwht(f.values) / f.space.size,
-                                       f.space.horizon)
+    coeffs = fwht(f.values)
+    coeffs /= f.space.size
+    return FockCoefficients.from_vector(coeffs, f.space.horizon)
 
 
 def synthesize(c: FockCoefficients, space: SampleSpace) -> RandomFunctional:
@@ -181,7 +182,8 @@ def conditional_expectation(f: RandomFunctional, n: int) -> RandomFunctional:
     spectrally: chaos coefficients outside subsets of {0,..,n} are dropped."""
     if not 0 <= n <= f.space.horizon:
         raise OutOfHorizonError(f"index {n} outside 0..{f.space.horizon}")
-    coeffs = fwht(f.values) / f.space.size
+    coeffs = fwht(f.values)
+    coeffs /= f.space.size
     coeffs[1 << (n + 1):] = 0
     return RandomFunctional(f.space, fwht(coeffs))
 

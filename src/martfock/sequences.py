@@ -20,7 +20,7 @@ import numpy as np
 from . import formats
 from .functionals import (FockCoefficients, GrowthCertificate, dual_norm_bound,
                           fit_growth_values)
-from .rademacher import RandomFunctional, fwht
+from .rademacher import RandomFunctional, chaos_expand
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
 
 DEFAULT_TOL = 1e-9
@@ -208,9 +208,7 @@ def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
     """The coefficient sequence of the classical martingale n -> E[f | first
     n+1 coordinates]: term n is the chaos table of f truncated to subsets of
     {0,..,n}.  Every term holds views of one table's prefix arrays."""
-    coeffs = fwht(f.values)
-    coeffs /= f.space.size
-    table = FockCoefficients.from_vector(coeffs, f.space.horizon)
+    table = chaos_expand(f)
     return FunctionalSequence([
         FockCoefficients.__new__(FockCoefficients)._hold(
             *table._entries_on(TruncatedDomain(n)), None, n)

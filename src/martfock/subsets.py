@@ -10,6 +10,7 @@ and sequence diagnostics depend on deterministic iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -169,9 +170,24 @@ def weight_vector(domain: TruncatedDomain) -> np.ndarray:
     doubling: the masks in [2^k, 2^(k+1)) are (k+1) times the masks below 2^k.
     """
     domain.plan(8)
-    w = np.ones(domain.size)
-    for k in range(domain.max_index + 1):
+    return _doubled_weights(domain.max_index)
+
+
+def _doubled_weights(max_index: int) -> np.ndarray:
+    """weight_vector's doubling over {0,..,max_index}, unplanned."""
+    w = np.ones(2 << max_index)
+    for k in range(max_index + 1):
         np.multiply(w[: 1 << k], k + 1, out=w[1 << k : 2 << k])
+    return w
+
+
+@functools.cache
+def _low_weights() -> np.ndarray:
+    """weight_vector(TruncatedDomain(15)), read-only and built once, on first
+    use: the 512 KB table of the weights below 2^16.  Its size is fixed, not
+    domain-sized, so it is not planned."""
+    w = _doubled_weights(15)
+    w.flags.writeable = False
     return w
 
 
@@ -179,13 +195,14 @@ def mask_weights(masks: np.ndarray, max_index: int) -> np.ndarray:
     """weight_vector(TruncatedDomain(max_index))[masks], bit for bit, without
     the whole-domain vector (masks: integers, each below 2^(max_index+1)).
 
-    The low 16 bits index a weight_vector of at most 2^16 entries; each higher
-    bit k then multiplies in (k+1), in ascending k.  That is the product order
-    of weight_vector's doubling, so every weight rounds the same way.
+    The low 16 bits index the one _low_weights table; each higher bit k then
+    multiplies in (k+1), in ascending k.  That is the product order of
+    weight_vector's doubling, so every weight rounds the same way.  A call
+    costs the gather and one pass per bit above 15; the table is never
+    rebuilt.
     """
-    low = min(max_index, 15)
-    w = weight_vector(TruncatedDomain(low))[masks & ((2 << low) - 1)]
-    for k in range(low + 1, max_index + 1):
+    w = _low_weights()[masks & 0xFFFF]
+    for k in range(16, max_index + 1):
         w *= np.where(masks >> k & 1, k + 1.0, 1.0)
     return w
 

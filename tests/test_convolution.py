@@ -1,3 +1,4 @@
+import cmath
 import functools
 import itertools
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from martfock import subsets
+from martfock import convolution, subsets
 from martfock.convolution import (
     INDICATOR_MAX_LEVEL,
     all_ones,
@@ -311,6 +312,24 @@ def residual_inputs():
         for m in rng.integers(d.size, 1 << 40, size=5):
             table[FiniteSubset(int(m))] = 1e10 + 0j
         yield FockCoefficients(table), d
+    # A residual reads the masks from 2^(n+1) on without a gather or a
+    # scatter when the table holds every one of them.  These tables are dense
+    # exactly on [2^(n+1), 2^(N+1)) and sparse below, so for n > 0 the curve
+    # (from 2^1) scatters and the residuals from level n on do not; at
+    # horizons 16 and 17 the weights come from weight_vector, past the
+    # 2^16-entry low table.  Then an empty and a one-entry table.
+    for horizon, n in ((9, 3), (16, 12), (17, 0)):
+        d = TruncatedDomain(horizon)
+        vector = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+        vector[:2 << n] = 0
+        vector[rng.choice(2 << n, size=n + 1, replace=False)] = 1.5 - 2j
+        yield FockCoefficients.from_vector(vector, horizon), d
+    for horizon in (16, 17):
+        d = TruncatedDomain(horizon)
+        vector = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+        yield FockCoefficients.from_vector(vector, horizon), d
+    yield FockCoefficients.zero(), TruncatedDomain(5)
+    yield FockCoefficients({FiniteSubset(37): 2.5 - 1j}), TruncatedDomain(5)
 
 
 class TestResidualCurve:
@@ -325,6 +344,27 @@ class TestResidualCurve:
                 assert got == approximation_residual(phi, n, q, d)
                 if d.max_index < 16 or n % 4 == 0 or n >= d.max_index - 1:
                     assert got == boolean_mask_residual(phi, n, q, d)
+
+    def test_dense_suffixes_gather_no_weights(self, monkeypatch):
+        # A suffix that the entries fill takes its weights as a slice; only a
+        # sparse one gathers them through mask_weights.
+        gathered = []
+        gather = convolution.mask_weights
+        monkeypatch.setattr(convolution, "mask_weights",
+                            lambda masks, n: gathered.append(masks.size) or gather(masks, n))
+        d = TruncatedDomain(9)
+        vector = np.arange(d.size) + 1j
+        vector[:16] = 0
+        vector[5] = 1.0
+        mixed = FockCoefficients.from_vector(vector, d.max_index)
+        for phi in (all_ones(), FockCoefficients.from_vector(vector + 1, d.max_index)):
+            residual_curve(phi, 10, 1.0, d)
+        for n in range(3, 11):
+            approximation_residual(mixed, n, 1.0, d)
+        assert gathered == []
+        residual_curve(mixed, 10, 1.0, d)
+        approximation_residual(mixed, 2, 1.0, d)
+        assert gathered == [d.size - 15, d.size - 16]  # mask 5 lies from 2^1 on
 
     def test_levels_covering_the_domain_are_exact_zero(self):
         d = TruncatedDomain(4)
@@ -480,10 +520,6 @@ def combinations(phi, ref):
 
 
 class TestScalarPathOracle:
-    # weight^2 composites overflow to inf (and inf * 0 to nan) at the top
-    # mask on both paths; numpy's product warns where Python's does not.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
-                                "ignore:invalid value encountered in multiply:RuntimeWarning")
     @pytest.mark.parametrize("negated", [False, True], ids=["rule", "-1.0*rule"])
     @pytest.mark.parametrize("name", ORACLE_RULES)
     def test_values_repr_equal_to_the_scalar_path(self, name, negated):
@@ -500,7 +536,15 @@ class TestScalarPathOracle:
                 values = got.values_on(TruncatedDomain(h)).view(np.uint64)
                 assert np.array_equal(values, full[:2 << h].view(np.uint64)), (label, h)
             for sigma in (FiniteSubset(5), FiniteSubset(1 << 63), FiniteSubset((1 << 64) - 1)):
-                assert repr(got.evaluate(sigma)) == repr(want.evaluate(sigma)), (label, sigma)
+                expected = want.evaluate(sigma)
+                if cmath.isfinite(expected):
+                    assert repr(got.evaluate(sigma)) == repr(expected), (label, sigma)
+                    continue
+                # weight^2 composites overflow at the top mask: Python's
+                # product goes to inf (and inf * 0 to nan), the library's
+                # raises one ValueError.
+                with pytest.raises(ValueError, match="overflows the float range"):
+                    got.evaluate(sigma)
 
     def test_all_ones_evaluates_a_high_mask_without_a_plan(self, monkeypatch):
         monkeypatch.setattr(subsets, "MEMORY_BUDGET", 1)

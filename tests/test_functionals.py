@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from martfock.functionals import (
     sobolev_norm,
     verify_certificate,
 )
-from martfock.convolution import approximation_sequence, indicator_functional
+from martfock.convolution import approximation_sequence, convolve, indicator_functional
 from martfock.subsets import (
     DomainTooLargeError,
     FiniteSubset,
@@ -241,6 +242,50 @@ class TestPairing:
         xi = indicator_functional(2)
         left = pairing(a + b, xi, d)
         assert left == pytest.approx(pairing(a, xi, d) + pairing(b, xi, d))
+
+
+class TestOverflowIsOneValueError:
+    """A product, a sum or a pairing that overflows raises one ValueError
+    naming the quantity, and numpy emits no RuntimeWarning on the way."""
+
+    HUGE = 1.5e308 + 1.5e308j
+
+    def raises_alone(self, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_rule_product(self):
+        # weight({0..63})^2 = (64!)^2, about 1.6e178: the square of twice it
+        # overflows (it read (inf+nanj) once multiplied by 3).
+        phi = FockCoefficients.from_rule(lambda s: weight(s) ** 2)
+        product = 3 * convolve(2 * phi, phi)
+        self.raises_alone(lambda: product.evaluate(FiniteSubset((1 << 64) - 1)),
+                          "a coefficient product overflows")
+
+    def test_table_sum(self):
+        a = FockCoefficients({FiniteSubset(1): self.HUGE})
+        self.raises_alone(lambda: a + a, "a coefficient sum overflows")
+
+    def test_rule_sum(self):
+        a = FockCoefficients.from_rule(lambda s: self.HUGE)
+        self.raises_alone(lambda: (a + a).values_on(TruncatedDomain(2)),
+                          "a coefficient sum overflows")
+
+    def test_pairing(self):
+        a = FockCoefficients({FiniteSubset(1): self.HUGE})
+        self.raises_alone(lambda: pairing(a, a, TruncatedDomain(2)),
+                          "the pairing overflows")
+
+    def test_finite_results_keep_their_bits(self):
+        a = FockCoefficients({FiniteSubset(1): 1e308 + 0j, FiniteSubset(2): -0.0 + 1j})
+        b = FockCoefficients({FiniteSubset(1): -1e308 + 0j, FiniteSubset(3): 2.0})
+        assert (a + b).table_items() == [(FiniteSubset(2), -0.0 + 1j),
+                                         (FiniteSubset(3), 2.0 + 0j)]
+        c = FockCoefficients({FiniteSubset(1): 2.0 ** 500, FiniteSubset(2): -0.0 + 1j})
+        d = FockCoefficients({FiniteSubset(1): 2.0 ** 500, FiniteSubset(2): 2.0})
+        assert pairing(c, d, TruncatedDomain(2)) == complex(2.0 ** 1000, 2.0)
 
 
 class TestDualNormBound:

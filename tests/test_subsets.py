@@ -208,6 +208,15 @@ class TestMaskWeights:
                 assert got.dtype == np.float64 and got.shape == masks.shape
                 assert np.array_equal(got.view(np.int64), w[masks].view(np.int64))
 
+    def test_one_read_only_low_table(self):
+        low = subsets._low_weights()
+        assert low is subsets._low_weights()
+        assert not low.flags.writeable
+        expected = weight_vector(TruncatedDomain(15))
+        assert np.array_equal(low.view(np.int64), expected.view(np.int64))
+        with pytest.raises(ValueError):
+            low[0] = 2.0
+
     def test_ascending_products_beyond_exact_range(self):
         # Past horizon 20 a weight may round; it must round as the product
         # 1.0 * (k+1) * ... taken in ascending k, as the doubling takes it.

@@ -1,0 +1,95 @@
+"""Time the library's layers: best-of-5 milliseconds per path, as one JSON line.
+
+The paths are those of the per-layer table in ROADMAP.md (the Walsh-Hadamard
+transform and the chaos expansion and synthesis at horizon 18, a rule read at
+horizon 18, a residual curve, a classical verdict, the normal-martingale
+verifier and the package import), plus approximation_residual at each level
+0..12 on the coefficient tables of the approx-dense and approx-sparse-wide
+workloads (seed 1, built by `bench/workloads.py`, imported and not changed).
+Each call is timed with time.perf_counter; the import is timed by
+`python -X importtime` in a child process.  Keys ending in "_ms" hold one
+time; the two residual keys hold the list of times at levels 0..12.
+
+Usage: python3 tools/layers.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 5
+SEED = 1
+
+
+def best_ms(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(min(times) * 1e3, 4)
+
+
+def import_ms() -> float:
+    """Best cumulative `-X importtime` of `import martfock`, in a child."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    times = []
+    for _ in range(REPEATS):
+        err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import martfock"],
+                             env=env, capture_output=True, text=True, check=True).stderr
+        line = next(line for line in err.splitlines() if line.split("|")[-1].strip() == "martfock")
+        times.append(int(line.split("|")[1]))
+    return round(min(times) / 1e3, 4)
+
+
+def workload_table(mf, workloads, name: str):
+    """The workload's coefficient table at seed 1, and its domain."""
+    cls = workloads.WORKLOADS[name]
+    masks, values = cls.__new__(cls).coefficients(workloads.rng_for(SEED, name))
+    dense = np.zeros(1 << (cls.horizon + 1), dtype=np.complex128)
+    dense[masks] = values
+    return mf.FockCoefficients.from_vector(dense, cls.horizon), mf.TruncatedDomain(cls.horizon)
+
+
+def main() -> int:
+    sys.dont_write_bytecode = True  # leaves no __pycache__ under bench/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import martfock as mf
+    import workloads
+
+    space = mf.SampleSpace(18)
+    rng = np.random.default_rng(SEED)
+    f = mf.RandomFunctional(space, rng.standard_normal(space.size) + 0j)
+    coefficients = mf.chaos_expand(f)
+    classical = mf.classical_to_sequence(
+        mf.RandomFunctional(mf.SampleSpace(14), rng.standard_normal(1 << 15) + 0j))
+    out = {
+        "fwht_h18_ms": best_ms(lambda: mf.fwht(f.values)),
+        "chaos_expand_h18_ms": best_ms(lambda: mf.chaos_expand(f)),
+        "synthesize_h18_ms": best_ms(lambda: mf.synthesize(coefficients, space)),
+        "all_ones_values_on_h18_ms": best_ms(lambda: mf.all_ones().values_on(space.domain())),
+        "residual_curve_all_ones_15_h16_ms": best_ms(
+            lambda: mf.residual_curve(mf.all_ones(), 15, 1.0, mf.TruncatedDomain(16))),
+        "strong_convergence_test_classical_h14_ms": best_ms(
+            lambda: mf.strong_convergence_test(classical, mf.TruncatedDomain(14))),
+        "verify_normal_martingale_h18_ms": best_ms(lambda: mf.verify_normal_martingale(space)),
+        "import_martfock_ms": import_ms(),
+    }
+    for name in ("approx-dense", "approx-sparse-wide"):
+        phi, domain = workload_table(mf, workloads, name)
+        out[f"approximation_residual_{name}"] = [
+            best_ms(lambda: mf.approximation_residual(phi, n, 1.0, domain)) for n in range(13)]
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
