@@ -15,7 +15,7 @@ import numpy as np
 
 from .functionals import FockCoefficients, InsufficientOrderError, _product, float_checked
 from .sequences import FunctionalSequence
-from .subsets import TruncatedDomain, _low_weights, mask_weights, weight_vector
+from .subsets import TruncatedDomain, weighted_sums
 
 INDICATOR_MAX_LEVEL = 20
 
@@ -107,36 +107,17 @@ def residual_curve(
 
 
 def _residuals(phi, levels, q, domain) -> list[float]:
-    """Residuals at the given levels from one vector of terms
-    weight^(-2q) |F|^2 over the masks from start = 2^(min level + 1) on: the
-    subsets outside {0,..,n} are exactly the masks from 2^(n+1) on, so each
-    level sums a suffix of that vector (an empty one once n >= max_index).
-
-    Where phi's entries fill that range (a dense table, every rule read), the
-    weights are a slice of weight_vector (of the read-only low table up to
-    2^16 masks) and the terms are computed in place, with nothing gathered
-    or scattered.  Otherwise the terms are computed at phi's entries and
-    scattered into a zeroed vector of the range.  Either way each level sums
-    the same contents, in the same order and to the same bits, as over a
-    dense domain vector.  A term or a sum that overflows raises ValueError."""
+    """Residuals at the given levels: the subsets outside {0,..,n} are
+    exactly the masks from 2^(n+1) on, so each level is the square root of
+    subsets.weighted_sums at exponent -2q from that start (0.0 once
+    n >= max_index, without a read when every level is), all from one
+    vector of terms.  A term or a sum that overflows raises ValueError."""
     if not q > 0.5:  # NaN too
         raise InsufficientOrderError(f"residual order q={q} too small; "
                                      "needs q > growth order + 1/2")
-    domain.plan(8)  # the terms vector; a rule's read plans itself
     if all(n >= domain.max_index for n in levels):
-        return [0.0 for _ in levels]
-    start = 1 << (min(levels) + 1)
+        return [0.0 for _ in levels]  # nothing outside {0,..,n} to read
     masks, values = phi._entries_on(domain)
-    first = masks.searchsorted(np.uint64(start))
-    # int64: the same values once planned, and numpy indexes int64 faster
-    masks, values = masks[first:].view(np.int64), values[first:]
     with float_checked(f"a residual term or sum at order q={q} overflows the float range"):
-        squares = np.abs(values) ** 2
-        if masks.size == domain.size - start:  # ascending, so masks[i] == start + i
-            weights = _low_weights() if domain.max_index < 16 else weight_vector(domain)
-            terms = weights[start:domain.size] ** (-2.0 * q)
-            terms *= squares
-        else:
-            terms = np.zeros(domain.size - start)
-            terms[masks - start] = mask_weights(masks, domain.max_index) ** (-2.0 * q) * squares
-        return [float(np.sqrt(np.sum(terms[(1 << (n + 1)) - start:]))) for n in levels]
+        sums = weighted_sums(masks, values, -2.0 * q, [1 << (n + 1) for n in levels], domain)
+        return [float(np.sqrt(total)) for total in sums]

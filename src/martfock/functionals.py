@@ -25,6 +25,7 @@ certificates |F(sigma)| <= C * weight(sigma)^p with fitting and verification.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import warnings
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from . import formats
-from .subsets import FiniteSubset, TruncatedDomain, full_series, weight_vector
+from .subsets import FiniteSubset, TruncatedDomain, full_series, weight_vector, weighted_sums
 
 
 class InsufficientOrderError(ValueError):
@@ -54,8 +55,14 @@ def float_checked(message: str):
 
 def _scalar_adapter(rule: Callable[[FiniteSubset], complex]) -> Callable[[np.ndarray], np.ndarray]:
     """The mask-array rule of a scalar rule sigma -> complex: each mask's
-    value is computed once, from a FiniteSubset, and memoised by mask."""
-    value = functools.cache(lambda mask: complex(rule(FiniteSubset(mask))))
+    value is computed once, from a FiniteSubset, and memoised by mask.  A
+    value that is not finite raises ValueError naming the subset."""
+    @functools.cache
+    def value(mask: int) -> complex:
+        z = complex(rule(FiniteSubset(mask)))
+        if not cmath.isfinite(z):
+            raise ValueError(f"rule value {z} at {FiniteSubset(mask)!r} is not finite")
+        return z
     return lambda masks: np.fromiter(map(value, masks.tolist()), np.complex128, masks.size)
 
 
@@ -82,7 +89,9 @@ class FockCoefficients:
     rule-backed functional holds empty arrays and has no table.  from_rule
     takes a scalar rule sigma -> complex, which is adapted once.  _hold sets
     the state of every instance; _entries_on is the one reader of either
-    backing over a domain.
+    backing over a domain.  Every coefficient is finite: _hold refuses a
+    table value, and the scalar-rule adapter a rule value, that is NaN or
+    infinite (ValueError naming the subset).
 
     support_bound: an upper bound N with all nonzero coefficients on
     subsets of {0,..,N}.  A declared bound is kept as given (from_vector,
@@ -107,7 +116,11 @@ class FockCoefficients:
         """Hold strictly ascending masks and their values, or a mask-array
         rule and empty arrays, and return self.  A table's missing support
         bound is inferred from its largest mask; a given bound is checked
-        against it."""
+        against it.  A value that is not finite raises ValueError."""
+        if not np.isfinite(values.view(np.float64)).all():  # real and imaginary parts
+            at = np.flatnonzero(~np.isfinite(values))[0]
+            raise ValueError(f"coefficient {values[at]} at {FiniteSubset(int(masks[at]))!r} "
+                             "is not finite")
         self._masks, self._values, self.rule = masks, values, rule
         top = int(masks[-1]) if masks.size else 0
         if support_bound is None and rule is None:
@@ -274,7 +287,7 @@ class FockCoefficients:
     def __repr__(self) -> str:
         kind = "rule" if self.rule is not None else "table"
         return (f"FockCoefficients({kind}, support_bound={self.support_bound}, "
-                f"cached={self._masks.size})")
+                f"entries={self._masks.size})")
 
 
 @dataclass(frozen=True)
@@ -299,11 +312,15 @@ class GrowthCertificate:
 
 
 def sobolev_norm(phi: FockCoefficients, p: float, domain: TruncatedDomain) -> float:
-    """Weighted l2 norm sqrt(sum weight^(2p) |F|^2) over the domain.
+    """Weighted l2 norm sqrt(sum weight^(2p) |F|^2) over the domain: the
+    square root of subsets.weighted_sums at exponent 2p from mask 0, over
+    phi's entries.  A table's norm plans 8 bytes per mask, the terms vector
+    (a rule's read plans its own).
 
     p = 0 gives the plain L2 norm; negative p is the dual-side diagnostic on
     the truncated domain.  If the functional's support exceeds the domain the
-    result is only a lower bound (a warning is emitted).  p must be finite.
+    result is only a lower bound (a warning is emitted).  p must be finite;
+    a term or a sum that overflows raises ValueError.
     """
     if not abs(p) < np.inf:  # NaN too
         raise ValueError(f"Sobolev order must be finite, got {p}")
@@ -312,13 +329,9 @@ def sobolev_norm(phi: FockCoefficients, p: float, domain: TruncatedDomain) -> fl
             "domain does not cover the functional's support; norm is a lower bound",
             stacklevel=2,
         )
-    w = weight_vector(domain)
-    values = phi.values_on(domain)
-    total = float(np.sum(w ** (2.0 * p) * np.abs(values) ** 2))
-    if not np.isfinite(total):
-        warnings.warn("norm overflowed to infinity", stacklevel=2)
-        return float("inf")
-    return float(np.sqrt(total))
+    masks, values = phi._entries_on(domain)
+    with float_checked(f"the Sobolev norm at order p={p} overflows the float range"):
+        return float(np.sqrt(weighted_sums(masks, values, 2.0 * p, [0], domain)[0]))
 
 
 def dual_norm_bound(cert: GrowthCertificate, q: float) -> float:

@@ -125,7 +125,9 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
     Output index s holds sum over m of (-1)^popcount(s & m) * values[m].
     Raises ValueError on a non-finite input and when a butterfly overflows
-    float64; the input is not changed.
+    float64; the input is not changed.  Once the input is copied, fwht drops
+    its references to it, so an input that only the call holds (a
+    temporary) is freed before the result is allocated.
 
     Bit contract: for each bit k, in ascending order, every pair of indices
     (m, m + 2^k) with bit k of m clear becomes (a + b, a - b), so every
@@ -145,6 +147,7 @@ def fwht(values: np.ndarray) -> np.ndarray:
     rows, cols = n >> low, 1 << low  # index m = row * cols + col
     moved = np.empty(n, dtype=np.complex128)
     np.copyto(moved.reshape(cols, rows), x.reshape(rows, cols).T)
+    del x, values
     if not np.isfinite(moved.view(np.float64)).all():  # real and imaginary parts
         raise ValueError("Walsh-Hadamard transform input holds a non-finite value")
     v = np.empty(n, dtype=np.complex128)
@@ -173,8 +176,7 @@ def synthesize(c: FockCoefficients, space: SampleSpace) -> RandomFunctional:
             f"coefficient support bound {c.support_bound} exceeds horizon "
             f"{space.horizon}"
         )
-    vector = c.values_on(space.domain())
-    return RandomFunctional(space, fwht(vector))
+    return RandomFunctional(space, fwht(c.values_on(space.domain())))
 
 
 def conditional_expectation(f: RandomFunctional, n: int) -> RandomFunctional:
@@ -182,10 +184,16 @@ def conditional_expectation(f: RandomFunctional, n: int) -> RandomFunctional:
     spectrally: chaos coefficients outside subsets of {0,..,n} are dropped."""
     if not 0 <= n <= f.space.horizon:
         raise OutOfHorizonError(f"index {n} outside 0..{f.space.horizon}")
+    return RandomFunctional(f.space, fwht(_low_chaos(f, n)))
+
+
+def _low_chaos(f: RandomFunctional, n: int) -> np.ndarray:
+    """f's chaos coefficients on the subsets of {0,..,n}, 0 elsewhere, as a
+    vector that only its caller holds (so fwht can free it)."""
     coeffs = fwht(f.values)
     coeffs /= f.space.size
     coeffs[1 << (n + 1):] = 0
-    return RandomFunctional(f.space, fwht(coeffs))
+    return coeffs
 
 
 def conditional_expectation_by_averaging(f: RandomFunctional, n: int) -> RandomFunctional:

@@ -14,7 +14,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -205,6 +205,40 @@ def mask_weights(masks: np.ndarray, max_index: int) -> np.ndarray:
     for k in range(16, max_index + 1):
         w *= np.where(masks >> k & 1, k + 1.0, 1.0)
     return w
+
+
+def weighted_sums(masks: np.ndarray, values: np.ndarray, exponent: float,
+                  starts: Sequence[int], domain: TruncatedDomain) -> list[float]:
+    """The sum of weight^exponent |F|^2 over the masks from each start on, one
+    float per start (0.0 from domain.size on), from one vector of terms over
+    the masks from the least start on, which lies inside the domain.
+
+    masks: strictly ascending integers inside the domain, and values the
+    coefficients there, covering every nonzero in that range (as
+    FockCoefficients._entries_on gives them).  Each sum is of the contents,
+    in the order and to the bits, of the dense formula over the domain
+    vectors (weight_vector(domain)[start:] ** exponent * |values_on|^2),
+    with 0.0 at the masks without an entry (where the dense formula may
+    multiply an overflowed power by 0).  Where the entries fill the range (a
+    dense table, every rule read) the weights are a slice of weight_vector
+    (of the read-only low table up to 2^16 masks) and the terms are computed
+    in place, with nothing gathered or scattered.  Otherwise the terms at
+    the entries are scattered into a zeroed vector of the range.  Plans the
+    terms vector; the caller checks the float range."""
+    domain.plan(8)
+    start = min(starts)
+    first = masks.searchsorted(np.uint64(start))
+    # int64: the same values once planned, and numpy indexes int64 faster
+    masks, values = masks[first:].view(np.int64), values[first:]
+    squares = np.abs(values) ** 2
+    if masks.size == domain.size - start:  # ascending, so masks[i] == start + i
+        weights = _low_weights() if domain.max_index < 16 else weight_vector(domain)
+        terms = weights[start:domain.size] ** exponent
+        terms *= squares
+    else:
+        terms = np.zeros(domain.size - start)
+        terms[masks - start] = mask_weights(masks, domain.max_index) ** exponent * squares
+    return [float(np.sum(terms[s - start:])) for s in starts]
 
 
 def weighted_series(p: float, domain: TruncatedDomain) -> float:

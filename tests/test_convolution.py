@@ -23,7 +23,9 @@ from martfock.functionals import (
     FockCoefficients,
     GrowthCertificate,
     InsufficientOrderError,
+    dual_norm_bound,
     fit_growth,
+    pairing,
     sobolev_norm,
     verify_certificate,
 )
@@ -349,8 +351,8 @@ class TestResidualCurve:
         # A suffix that the entries fill takes its weights as a slice; only a
         # sparse one gathers them through mask_weights.
         gathered = []
-        gather = convolution.mask_weights
-        monkeypatch.setattr(convolution, "mask_weights",
+        gather = subsets.mask_weights
+        monkeypatch.setattr(subsets, "mask_weights",
                             lambda masks, n: gathered.append(masks.size) or gather(masks, n))
         d = TruncatedDomain(9)
         vector = np.arange(d.size) + 1j
@@ -612,3 +614,67 @@ class TestClosedFormMonomials:
                     for n, got in enumerate(curve[:n_max]):
                         exact = mpmath.sqrt(modulus2 * (whole - factor_product(2 * (a - q), n + 1)))
                         assert relative_error(got, exact) <= CLOSED_FORM_REL, (c, a, n_max, q, n)
+
+
+@functools.cache
+def infinite_product(exponent):
+    """prod_{k>=1} (1 + k^exponent) for exponent < -1, at 50 digits: the log of the first 50 factors, plus the tail
+    sum_{k>50} log(1 + k^exponent) = sum_j (-1)^(j+1) zeta(-j exponent, 51) / j."""
+    with mpmath.workdps(50):
+        head = mpmath.fsum(mpmath.log1p(mpmath.mpf(k) ** exponent) for k in range(1, 51))
+        tail, j = mpmath.mpf(0), 1
+        while True:
+            term = (-1) ** (j + 1) * mpmath.zeta(-j * exponent, 51) / j
+            tail += term
+            if abs(term) < mpmath.mpf(10) ** -55:
+                return mpmath.exp(head + tail)
+            j += 1
+
+
+def complex_error(got, exact):
+    return float(abs(mpmath.mpc(got) - exact) / abs(exact))
+
+
+class TestClosedFormCertificates:
+    """pairing, fit_growth's C(p), verify_certificate and dual_norm_bound on
+    the monomial tables c * weight^a over {0..N}, N <= 16, against closed
+    forms evaluated by mpmath at 50 digits: the pairing of two monomials is
+    c1 c2 prod_{k<=N+1} (1 + k^(a1+a2)); C(p) = max |c| weight^(a-p) is |c|
+    at the empty set for a < p and |c| ((N+1)!)^(a-p) at the full set
+    otherwise; the dual bound is C sqrt(prod_{k>=1} (1 + k^(-2(q-p))))."""
+
+    HORIZONS = (1, 5, 12, 16)
+    ORDERS = (0.0, 0.5, 1.0, 2.0)
+
+    def test_pairing(self):
+        for n_max in (0, *self.HORIZONS):
+            domain = TruncatedDomain(n_max)
+            for (c1, a1), (c2, a2) in itertools.combinations_with_replacement(MONOMIALS, 2):
+                got = pairing(monomial(c1, a1, domain, "table"), monomial(c2, a2, domain, "table"),
+                              domain)
+                with mpmath.workdps(50):
+                    exact = mpmath.mpc(c1) * mpmath.mpc(c2) * factor_product(a1 + a2, n_max + 1)
+                    assert complex_error(got, exact) <= CLOSED_FORM_REL, (c1, a1, c2, a2, n_max)
+
+    def test_growth_fit_certificate_and_dual_bound(self):
+        for (c, a), n_max in itertools.product(MONOMIALS, self.HORIZONS):
+            domain = TruncatedDomain(n_max)
+            phi = monomial(c, a, domain, "table")
+            curve, _ = fit_growth(phi, domain, self.ORDERS)
+            for p in self.ORDERS:
+                with mpmath.workdps(50):
+                    exact = abs(mpmath.mpc(c)) * mpmath.factorial(n_max + 1) ** max(a - p, 0)
+                    assert relative_error(curve[p], exact) <= CLOSED_FORM_REL, (c, a, n_max, p)
+                    scale = float(exact)
+                    for q in (p + 0.75, p + 1.0, p + 2.0):
+                        bound = mpmath.mpf(scale) * mpmath.sqrt(infinite_product(-2 * (q - p)))
+                        got = dual_norm_bound(GrowthCertificate(scale, p), q)
+                        assert relative_error(got, bound) <= CLOSED_FORM_REL, (scale, p, q)
+                assert verify_certificate(phi, GrowthCertificate(scale, p), domain) == (True, None)
+                if a >= p and a > 0:
+                    # The largest violation is at the largest weight, (N+1)!,
+                    # which {1..N} and the full set share (element 0 weighs
+                    # 1); the witness is the lower mask of the two.
+                    below = GrowthCertificate(scale * (1 - 1e-9), p)
+                    assert verify_certificate(phi, below, domain) == (
+                        False, FiniteSubset(domain.size - 2)), (c, a, n_max, p)

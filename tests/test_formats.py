@@ -126,12 +126,26 @@ def test_verdict_limit_is_streamed_inside_the_report(table, scale, order, tail_s
         assert written(verdict.to_document()) == canonical(want)
 
 
+def held_document(table: dict) -> tuple[dict, dict]:
+    """The fock-coefficients/v1 document of a table as FockCoefficients
+    would hold it (its constructor refuses a value that is not finite), and
+    the reference dict of the document."""
+    masks = np.array(sorted(s.mask for s in table), dtype=np.uint64)
+    values = np.array([table[FiniteSubset(m)] for m in masks.tolist()], dtype=np.complex128)
+    doc = {"format": "fock-coefficients/v1", "support_bound": 63,
+           "coefficients": formats.Table(values, masks)}
+    rows = [{"sigma": FiniteSubset(m).to_json(), "re": v.real, "im": v.imag}
+            for m, v in zip(masks.tolist(), values.tolist()) if v != 0]
+    return doc, {**doc, "coefficients": rows}
+
+
 @settings(max_examples=100)
 @given(tables, bad_values, masks)
 def test_non_finite_values_are_refused_on_both_sides(table, bad, mask):
     table = {**table, FiniteSubset(mask): bad}
-    phi = FockCoefficients(table)
-    documents = [(phi.to_document(), fock_dict(phi))]
+    with pytest.raises(ValueError, match="is not finite"):
+        FockCoefficients(table)  # the constructor refuses it too
+    documents = [held_document(table)]
     f = RandomFunctional(SampleSpace(1), [1.0, bad, 0.0, 2j])
     documents.append((f.to_document(), values_dict(f)))
     verdict = ConvergenceVerdict(ConvergenceStatus.CONVERGED, limit=FockCoefficients(),
@@ -151,9 +165,11 @@ def test_non_finite_values_are_refused_on_both_sides(table, bad, mask):
 
 
 def test_a_non_finite_value_through_the_api_leaves_no_file(tmp_path):
-    phi = FockCoefficients({FiniteSubset(0): 1.0, FiniteSubset(3): complex(math.nan, 0.0)})
+    table = {FiniteSubset(0): 1.0, FiniteSubset(3): complex(math.nan, 0.0)}
+    with pytest.raises(ValueError, match="is not finite"):
+        FockCoefficients(table)
     f = RandomFunctional(SampleSpace(0), [1.0, math.inf])
-    for doc in (phi.to_document(), f.to_document()):
+    for doc in (held_document(table)[0], f.to_document()):
         with pytest.raises(ValueError):
             formats.write(doc, str(tmp_path / "out.json"))
     assert list(tmp_path.iterdir()) == []

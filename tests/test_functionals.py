@@ -17,7 +17,12 @@ from martfock.functionals import (
     sobolev_norm,
     verify_certificate,
 )
-from martfock.convolution import approximation_sequence, convolve, indicator_functional
+from martfock.convolution import (
+    all_ones,
+    approximation_sequence,
+    convolve,
+    indicator_functional,
+)
 from martfock.subsets import (
     DomainTooLargeError,
     FiniteSubset,
@@ -131,6 +136,10 @@ class TestFockCoefficients:
     ])
     def test_from_vector_matches_comprehension(self, entries):
         values = np.array(entries + [0.0] * (8 - len(entries)), dtype=np.complex128)
+        if not np.isfinite(values).all():  # refused, naming the first such subset
+            with pytest.raises(ValueError, match=r"\(nan\+0j\) at FiniteSubset\(\{\}\) is not"):
+                FockCoefficients.from_vector(values, 2)
+            return
         # The dense-to-table loop from_vector replaces, kept as the oracle.
         oracle = {FiniteSubset(int(m)): complex(values[m]) for m in np.nonzero(values)[0]}
         phi = FockCoefficients.from_vector(values, 2)
@@ -211,12 +220,66 @@ class TestSobolevNorm:
         with pytest.warns(UserWarning, match="lower bound"):
             sobolev_norm(phi, 0, TruncatedDomain(2))
 
-    # numpy warns as |1e200|^2 overflows; the norm then reports inf itself
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflow_gives_inf_with_a_warning(self):
+    def test_overflow_is_one_value_error(self):
+        # |1e200|^2 overflows: one ValueError naming the order, no warning
         phi = table_functional([([], 1e200), ([1], 1.0)])
-        with pytest.warns(UserWarning, match="norm overflowed to infinity"):
-            assert sobolev_norm(phi, 0, TruncatedDomain(1)) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Sobolev norm at order p=0 overflows"):
+                sobolev_norm(phi, 0, TruncatedDomain(1))
+
+    def test_high_order_reads_only_the_entries(self):
+        # weight^24 overflows at the large masks, which hold no entry: the
+        # dense formula made inf * 0 = NaN there and reported inf
+        phi = FockCoefficients({FiniteSubset(1): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sobolev_norm(phi, 12.0, TruncatedDomain(15)) == 1.0
+
+
+def dense_formula_norm(phi, p, domain):
+    """The Sobolev norm as the dense formula over the domain vectors."""
+    terms = weight_vector(domain) ** (2.0 * p) * np.abs(phi.values_on(domain)) ** 2
+    return float(np.sqrt(np.sum(terms)))
+
+
+def norm_inputs(horizon):
+    """(functional, is a rule) pairs at the horizon: a dense, a sparse, an
+    empty and a one-entry table, all_ones and (up to horizon 12) a scalar
+    rule."""
+    rng = np.random.default_rng(horizon)
+    size = 2 << horizon
+    dense = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    sparse = np.where(rng.random(size) < 0.1, dense, 0)
+    sparse[size - 1] = 0.5j  # the bound stays at the horizon
+    yield FockCoefficients.from_vector(dense, horizon), False
+    yield FockCoefficients.from_vector(sparse, horizon), False
+    yield FockCoefficients.zero(), False
+    yield FockCoefficients({FiniteSubset(size - 2): -2.0 + 1j}), False
+    yield all_ones(), True
+    if horizon <= 12:
+        yield FockCoefficients.from_rule(lambda s: complex(len(s), -0.25 * s.mask)), True
+
+
+class TestSobolevNormKernel:
+    """sobolev_norm is bit for bit the dense formula sqrt(sum(weight_vector
+    ** (2p) * |values_on|^2)) wherever that is finite, across the 2^16
+    masks of the low weight table."""
+
+    @pytest.mark.parametrize("horizon", range(18))
+    def test_bitwise_equal_to_the_dense_formula(self, horizon):
+        domain = TruncatedDomain(horizon)
+        for phi, rule in norm_inputs(horizon):
+            for p in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    expected = dense_formula_norm(phi, p, domain)
+                    if rule:  # unbounded support: a lower bound, with a warning
+                        with pytest.warns(UserWarning, match="lower bound"):
+                            got = sobolev_norm(phi, p, domain)
+                    else:
+                        got = sobolev_norm(phi, p, domain)
+                assert got.hex() == expected.hex(), (horizon, phi, p)
 
 
 class TestPairing:
@@ -286,6 +349,32 @@ class TestOverflowIsOneValueError:
         c = FockCoefficients({FiniteSubset(1): 2.0 ** 500, FiniteSubset(2): -0.0 + 1j})
         d = FockCoefficients({FiniteSubset(1): 2.0 ** 500, FiniteSubset(2): 2.0})
         assert pairing(c, d, TruncatedDomain(2)) == complex(2.0 ** 1000, 2.0)
+
+
+class TestNonFiniteInputs:
+    """A coefficient that is not finite is refused where it enters, with one
+    ValueError; it used to pass through sums, products and pairing."""
+
+    def refused_alone(self, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0), complex(1, -math.inf)])
+    def test_table(self, value):
+        # a + a held nan+0j, 2 * a nan+nanj, and pairing(a, a) was nan+nanj
+        self.refused_alone(lambda: FockCoefficients({FiniteSubset(1): value}),
+                           r"at FiniteSubset\(\{0\}\) is not finite")
+
+    def test_from_vector(self):
+        self.refused_alone(lambda: FockCoefficients.from_vector(np.array([1.0, math.inf]), 0),
+                           r"coefficient \(inf\+0j\) at FiniteSubset\(\{0\}\) is not finite")
+
+    def test_scalar_rule(self):
+        phi = FockCoefficients.from_rule(lambda s: math.nan if s.mask == 3 else 1.0)
+        self.refused_alone(lambda: phi.values_on(TruncatedDomain(1)),
+                           r"rule value \(nan\+0j\) at FiniteSubset\(\{0, 1\}\) is not finite")
 
 
 class TestDualNormBound:

@@ -131,6 +131,8 @@ PATHS = {
         lambda v: conditional_expectation(RandomFunctional(SampleSpace(HORIZON), v), 5)),
     "fit_growth": (lambda: (sparse_table(),), lambda phi: fit_growth(phi, DOMAIN, (0, 1, 2))),
     "sobolev_norm": (lambda: (sparse_table(),), lambda phi: sobolev_norm(phi, 1.0, DOMAIN)),
+    "sobolev_norm dense table": (lambda: (FockCoefficients.from_vector(sample_values(), HORIZON),),
+                                 lambda phi: sobolev_norm(phi, 1.0, DOMAIN)),
     "pairing": (lambda: (sparse_table(),), lambda phi: pairing(phi, phi, DOMAIN)),
 }
 
@@ -319,6 +321,29 @@ def test_fwht_holds_at_most_two_vectors_and_half_a_scratch():
     # scratch, 40.
     values = sample_values()
     assert traced_peak(fwht, values) <= 40 * values.size
+
+
+def test_fwht_callers_hold_no_second_input():
+    # synthesize hands values_on's vector straight to fwht, and
+    # conditional_expectation its truncated coefficients; fwht drops its
+    # input once it is copied, so each peaks as fwht alone does: 33.5 bytes
+    # per point (49.5 while the caller kept the input).
+    space = SampleSpace(HORIZON)
+    phi = FockCoefficients.from_vector(sample_values(), HORIZON)
+    f = RandomFunctional(space, sample_values())
+    for call in (lambda: synthesize(phi, space), lambda: conditional_expectation(f, 5)):
+        assert traced_peak(call) <= 34 * DOMAIN.size
+
+
+def test_sobolev_norm_plans_one_float_per_mask():
+    # It reads the entries, not the dense vectors (40 bytes per mask): a
+    # sparse table holds the zeroed terms vector, a dense one the weights,
+    # the terms and the squares.
+    dense = FockCoefficients.from_vector(sample_values(), HORIZON)
+    for phi, per_mask in ((sparse_table(), 9), (dense, 25)):
+        peak, planned = planned_peak(lambda: sobolev_norm(phi, 1.0, DOMAIN))
+        assert planned == FLOAT_VECTOR
+        assert peak <= per_mask * DOMAIN.size, peak / DOMAIN.size
 
 
 def test_verifier_peak_does_not_grow_with_the_horizon():

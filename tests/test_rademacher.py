@@ -156,7 +156,9 @@ class TestFwht:
             for call in (lambda: chaos_expand(f), lambda: conditional_expectation(f, 0)):
                 with pytest.raises(ValueError, match="non-finite"):
                     call()
-            c = FockCoefficients({FiniteSubset(2): bad}, support_bound=1)
+            with pytest.raises(ValueError, match="is not finite"):  # refused as it enters
+                FockCoefficients({FiniteSubset(2): bad}, support_bound=1)
+            c = FockCoefficients._from_mask_rule(lambda m: np.where(m == 2, bad, 0.0) + 0j, 1)
             with pytest.raises(ValueError, match="non-finite"):
                 synthesize(c, sp)
 
