@@ -53,7 +53,10 @@ def _horizon(args, bound: int) -> int:
 
 
 def cmd_lambda(args) -> int:
-    sigma = FiniteSubset.from_json(json.loads(args.sigma))
+    try:
+        sigma = FiniteSubset.from_json(json.loads(args.sigma))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
     print(subsets.weight(sigma))
     return EXIT_OK
 

@@ -11,7 +11,8 @@ as its table the columns of the rows parsed since the previous one.  A file
 read so peaks at about twice its size: its bytes and its text, for a moment.
 When a row lies outside its document's table, or a block is refused, the
 text is parsed again plainly, and json_table then reads (or refuses) the
-lists as it would a dict built by hand.
+lists as it would a dict built by hand.  JSON nested too deeply for
+json.loads raises ValueError, not RecursionError.
 
 Writing.  A document is a dict of JSON values in which a table is given as
 a Table.  write emits its canonical form: the bytes of
@@ -68,10 +69,13 @@ def load_json(path: str, sigma: bool):
         return obj
 
     try:
-        data = json.loads(text, object_hook=hook)
-    except (KeyError, ValueError):  # a row outside its table, a refused block, bad JSON
-        return json.loads(text)
-    return json.loads(text) if pending or blocks else data  # rows outside every document
+        try:
+            data = json.loads(text, object_hook=hook)
+        except (KeyError, ValueError):  # a row outside its table, a refused block, bad JSON
+            return json.loads(text)
+        return json.loads(text) if pending or blocks else data  # rows outside every document
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 _ROW = object()  # what load_json's parse keeps of a row once it is buffered

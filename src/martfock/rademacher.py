@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .functionals import FockCoefficients, float_checked
-from .subsets import FiniteSubset, TruncatedDomain
+from .subsets import FiniteSubset, TruncatedDomain, coordinate_products
 
 
 class OutOfHorizonError(ValueError):
@@ -86,15 +86,16 @@ def noise(space: SampleSpace, n: int) -> RandomFunctional:
 
 
 def walsh(space: SampleSpace, sigma: FiniteSubset) -> RandomFunctional:
-    """Product of coordinates over sigma; the empty set gives the constant 1."""
+    """Product of coordinates over sigma; the empty set gives the constant 1.
+    Built by coordinate_products with the factors (1, -1) on sigma and
+    (1, 1) off it: every product is of signs, so exact."""
     if sigma.mask >= space.size:
         raise OutOfHorizonError(
             f"{sigma!r} has elements beyond horizon {space.horizon}"
         )
-    values = np.ones(space.size)
-    for k in sigma.elements:
-        values = values * space.signs(k)
-    return RandomFunctional(space, values.astype(np.complex128))
+    values = coordinate_products([(1.0, -1.0 if k in sigma else 1.0)
+                                  for k in range(space.horizon + 1)])
+    return RandomFunctional(space, values)
 
 
 def inner_product(f: RandomFunctional, g: RandomFunctional) -> complex:
@@ -216,13 +217,13 @@ def random_functional(space: SampleSpace, seed: int) -> RandomFunctional:
 
 def biased_probabilities(space: SampleSpace, minus_prob: float) -> np.ndarray:
     """Product measure with P(coordinate = -1) = minus_prob; a negative
-    control for the normal-martingale verifier."""
+    control for the normal-martingale verifier.  Built by
+    coordinate_products with the factors (1 - minus_prob, minus_prob) at
+    every coordinate: point m's mass is 1.0 times each coordinate's factor,
+    multiplied in ascending coordinate order."""
     if not 0.0 <= minus_prob <= 1.0:
         raise ValueError(f"minus_prob must lie in [0, 1], got {minus_prob}")
-    probs = np.ones(space.size)
-    for k in range(space.horizon + 1):
-        probs *= np.where(space.signs(k) < 0, minus_prob, 1.0 - minus_prob)
-    return probs
+    return coordinate_products([(1.0 - minus_prob, minus_prob)] * (space.horizon + 1))
 
 
 @dataclass(frozen=True)
@@ -250,19 +251,6 @@ class NormalMartingaleReport:
         }
 
 
-def _conditional_given_prefix(values: np.ndarray, probs: np.ndarray, n_coords: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """E[values | coordinates 0..n_coords-1] on the atoms of positive mass,
-    and the boolean mask of those atoms: atom a holds the points whose low
-    n_coords bits are a.  Atoms of zero mass are skipped, since the
-    identities hold almost surely."""
-    block = 1 << n_coords
-    v, p = values.reshape(-1, block), probs.reshape(-1, block)
-    mass = p.sum(axis=0)
-    charged = mass > 0
-    return (v * p).sum(axis=0)[charged] / mass[charged], charged
-
-
 def verify_normal_martingale(
     space: SampleSpace,
     probabilities: Optional[np.ndarray] = None,
@@ -274,24 +262,35 @@ def verify_normal_martingale(
     Conditions: E[M_0] = 0, E[M_n | first n coords] = M_{n-1},
     E[M_0^2] = 1, E[M_n^2 | first n coords] = M_{n-1}^2 + 1.
     With the uniform measure every deviation is exactly 0; a biased measure
-    (negative control) breaks the mean condition.  The walk is built one step
-    at a time, holding only M_{n-1} and M_n; M_{n-1} is constant on each atom
-    of the first n coordinates, so its value there is its value at the atom's
-    index.  Atoms of zero mass are skipped.
+    (negative control) breaks the mean condition.  probabilities must be
+    finite, nonnegative and sum to 1 within 1e-9 (ValueError otherwise).
+
+    M_n depends only on the first n+1 coordinates, so it is held per atom of
+    them, 2^(n+1) values built by doubling: M_n = (M_{n-1} + 1, M_{n-1} - 1)
+    on the atoms with coordinate n equal to +1, then -1.  Each conditional
+    expectation sums, over the points of an atom of the first n coordinates,
+    the products of the masses by M_n (or M_n^2) in ascending point order,
+    and divides by the atom's mass.  Atoms of zero mass are skipped, since
+    the identities hold almost surely.
     """
-    space.domain().plan(56)  # M_{n-1}, M_n, the measure and the step's temporaries
+    space.domain().plan(56)  # the measure, and the last step's M_N and temporaries
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
              else np.asarray(probabilities, dtype=float))
     if probs.shape != (space.size,):
         raise ValueError("probability vector length mismatch")
+    if not (np.isfinite(probs).all() and probs.min() >= 0 and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValueError("probabilities must be finite, nonnegative and sum to 1 within 1e-9")
     walk = space.signs(0)  # M_0
-
     mean_dev = abs(float(np.dot(walk, probs)))  # E[M_0] = 0
     sq_dev = abs(float(np.dot(walk ** 2, probs)) - 1.0)  # E[M_0^2] = 1
+    walk = np.array([1.0, -1.0])  # M_0 per atom of the first coordinate
     for n in range(1, space.horizon + 1):
-        prev, walk = walk[:1 << n], walk + space.signs(n)  # prev: M_{n-1} per atom
-        cond_mean, charged = _conditional_given_prefix(walk, probs, n)
-        cond_sq, _ = _conditional_given_prefix(walk ** 2, probs, n)
+        prev, walk = walk, np.concatenate([walk + 1.0, walk - 1.0])  # M_{n-1}, M_n
+        atoms = probs.reshape(-1, 2, 1 << n)  # [later coordinates, coordinate n, atom]
+        mass = probs.reshape(-1, 1 << n).sum(axis=0)
+        charged = mass > 0
+        cond_mean, cond_sq = ((atoms * v.reshape(2, 1 << n)).reshape(-1, 1 << n).sum(axis=0)
+                              [charged] / mass[charged] for v in (walk, walk ** 2))
         prev = prev[charged]
         mean_dev = max(mean_dev, float(np.max(np.abs(cond_mean - prev))))
         sq_dev = max(sq_dev, float(np.max(np.abs(cond_sq - prev ** 2 - 1.0))))

@@ -167,18 +167,24 @@ def weight_vector(domain: TruncatedDomain) -> np.ndarray:
     Product contract: the weight of sigma is 1.0 times (k+1) for each k in
     sigma, multiplied in ascending order of k; that order fixes the rounding
     of products beyond the exact float64 range, bit for bit.  Built by
-    doubling: the masks in [2^k, 2^(k+1)) are (k+1) times the masks below 2^k.
+    coordinate_products with the factors (1, k+1).
     """
     domain.plan(8)
-    return _doubled_weights(domain.max_index)
+    return coordinate_products([(1.0, k + 1.0) for k in range(domain.max_index + 1)])
 
 
-def _doubled_weights(max_index: int) -> np.ndarray:
-    """weight_vector's doubling over {0,..,max_index}, unplanned."""
-    w = np.ones(2 << max_index)
-    for k in range(max_index + 1):
-        np.multiply(w[: 1 << k], k + 1, out=w[1 << k : 2 << k])
-    return w
+def coordinate_products(factors: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The products over coordinates, one per bitmask below 2^len(factors)
+    (float64, unplanned): entry m is 1.0 times factors[k][bit k of m] for
+    each k, multiplied in ascending k.  Built by doubling: the entries in
+    [2^k, 2^(k+1)) are those below 2^k times factors[k][1], and then those
+    below 2^k are multiplied by factors[k][0], unless it is 1.0 (exact)."""
+    v = np.ones(1 << len(factors))
+    for k, (low, high) in enumerate(factors):
+        np.multiply(v[: 1 << k], high, out=v[1 << k : 2 << k])
+        if low != 1.0:
+            v[: 1 << k] *= low
+    return v
 
 
 @functools.cache
@@ -186,7 +192,7 @@ def _low_weights() -> np.ndarray:
     """weight_vector(TruncatedDomain(15)), read-only and built once, on first
     use: the 512 KB table of the weights below 2^16.  Its size is fixed, not
     domain-sized, so it is not planned."""
-    w = _doubled_weights(15)
+    w = coordinate_products([(1.0, k + 1.0) for k in range(16)])
     w.flags.writeable = False
     return w
 

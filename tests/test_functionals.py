@@ -376,6 +376,13 @@ class TestNonFiniteInputs:
         self.refused_alone(lambda: phi.values_on(TruncatedDomain(1)),
                            r"rule value \(nan\+0j\) at FiniteSubset\(\{0, 1\}\) is not finite")
 
+    @pytest.mark.parametrize("scalar", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+    def test_scalar_times_a_rule(self, scalar):
+        # inf times a rule read inf+infj at every mask, and its norm was inf
+        phi = FockCoefficients.from_rule(lambda s: 1 + 1j, support_bound=1)
+        for multiple in (lambda: scalar * phi, lambda: phi * scalar):
+            self.refused_alone(multiple, r"scalar .* is not finite")
+
 
 class TestDualNormBound:
     def test_known_constant(self):

@@ -410,18 +410,40 @@ class TestNormalMartingaleVerifier:
         with pytest.raises(ValueError, match="length mismatch"):
             verify_normal_martingale(SampleSpace(2), np.full(4, 0.25))
 
+    @pytest.mark.parametrize("defect", ["not finite", "negative", "sum above 1", "sum below 1"])
+    def test_measure_must_be_a_probability_vector(self, defect):
+        # at horizon 3: sixteen masses of 0.5 gave a report, and a negative
+        # mass raised numpy's zero-size maximum error
+        probs = {"not finite": np.r_[np.full(15, 1 / 15), np.nan],
+                 "negative": np.r_[np.full(15, 2 / 15), -1.0],
+                 "sum above 1": np.full(16, 0.5),
+                 "sum below 1": np.full(16, 1 / 16 - 1e-9)}[defect]
+        with pytest.raises(ValueError, match="probabilities must be finite, nonnegative "
+                                             "and sum to 1 within 1e-9"):
+            verify_normal_martingale(SampleSpace(3), probs)
+
     def test_json_report(self):
         data = verify_normal_martingale(SampleSpace(2)).to_json_dict()
         assert data["passed"] is True
         assert len(data["conditions"]) == 2
 
-    @pytest.mark.parametrize("minus_prob", [None, 0.3, 0.7, 0.75])
-    def test_deviations_match_the_stacked_walk_bit_for_bit(self, minus_prob):
-        for horizon in range(13):
+    @pytest.mark.parametrize("measure", [None, 0.3, 0.7, 0.75, "random-1", "random-2"])
+    def test_deviations_match_the_stacked_walk_bit_for_bit(self, measure):
+        # None is the uniform measure, a float the minus_prob of
+        # biased_probabilities; a seeded random measure's atoms do not factor
+        # over the coordinates, so it pins every per-atom sum
+        if isinstance(measure, str):
+            rng = np.random.default_rng(int(measure.split("-")[1]))
+        for horizon in range(11 if isinstance(measure, str) else 13):
             sp = SampleSpace(horizon)
-            probs = (np.full(sp.size, 1.0 / sp.size) if minus_prob is None
-                     else biased_probabilities(sp, minus_prob))
-            report = verify_normal_martingale(sp, None if minus_prob is None else probs)
+            if measure is None:
+                probs = np.full(sp.size, 1.0 / sp.size)
+            elif isinstance(measure, str):
+                probs = rng.random(sp.size)
+                probs /= probs.sum()
+            else:
+                probs = biased_probabilities(sp, measure)
+            report = verify_normal_martingale(sp, None if measure is None else probs)
             got = [c.max_deviation.hex() for c in report.conditions]
             assert got == [d.hex() for d in stacked_walk_deviations(sp, probs)], horizon
 

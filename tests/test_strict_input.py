@@ -83,6 +83,20 @@ def test_malformed_subset_exits_2(text, capsys):
         FiniteSubset.from_json(json.loads(text))
 
 
+@pytest.mark.parametrize("command", ["expand", "synthesize", "converge", "lambda"])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")],
+                         ids=["arrays", "objects"])
+def test_deep_nesting_exits_2(command, opening, closing, tmp_path, capsys):
+    # json.loads raised RecursionError here: a traceback and exit 1
+    text = opening * 100_000 + "0" + closing * 100_000
+    if command == "lambda":
+        assert_input_error(main(["lambda", text]), capsys)
+        return
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    assert_input_error(main([command, "--in", str(src)]), capsys)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the FWHT overflows
 def test_overflow_is_not_written_as_nonstandard_json(tmp_path, capsys):
     src, out = tmp_path / "f.json", tmp_path / "c.json"

@@ -3,7 +3,9 @@
 The paths are those of the per-layer table in ROADMAP.md (the Walsh-Hadamard
 transform and the chaos expansion and synthesis at horizon 18, a rule read at
 horizon 18, a residual curve, a classical verdict, the normal-martingale
-verifier and the package import), plus sobolev_norm at order 1 and
+verifier and the package import), the product measure at minus_prob 0.3
+(biased_probabilities) and the Walsh function of the 5-element subset
+{0, 4, 9, 13, 18} at horizon 18, plus sobolev_norm at order 1 and
 approximation_residual at each level 0..12 on the coefficient tables of the
 approx-dense and approx-sparse-wide workloads (seed 1, built by
 `bench/workloads.py`, imported and not changed).  Each call is timed with
@@ -82,6 +84,9 @@ def main() -> int:
         "strong_convergence_test_classical_h14_ms": best_ms(
             lambda: mf.strong_convergence_test(classical, mf.TruncatedDomain(14))),
         "verify_normal_martingale_h18_ms": best_ms(lambda: mf.verify_normal_martingale(space)),
+        "biased_probabilities_h18_ms": best_ms(lambda: mf.biased_probabilities(space, 0.3)),
+        "walsh_h18_ms": best_ms(
+            lambda: mf.walsh(space, mf.FiniteSubset.from_elements([0, 4, 9, 13, 18]))),
         "import_martfock_ms": import_ms(),
     }
     for name in ("approx-dense", "approx-sparse-wide"):
