@@ -101,8 +101,9 @@ def residual_curve(
     domain: TruncatedDomain,
 ) -> list[float]:
     """approximation_residual at every n = 0..level, from one vector of
-    terms over the masks outside {0}: one power and one |F|^2 per mask, and
-    one sum per level, with no dense complex vector."""
+    terms: one power and one |F|^2 per mask outside {0} (per entry there,
+    for a sparse table), and one sum per level, with no dense complex
+    vector."""
     return _residuals(phi, range(level + 1), q, domain)
 
 
@@ -111,7 +112,9 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     exactly the masks from 2^(n+1) on, so each level is the square root of
     subsets.weighted_sums at exponent -2q from that start (0.0 once
     n >= max_index, without a read when every level is), all from one
-    vector of terms.  A term or a sum that overflows raises ValueError."""
+    vector of terms: over the masks from the least start on, or over the
+    entries there for a sparse table, whose sums read only the entries.  A
+    term or a sum that overflows raises ValueError."""
     if not q > 0.5:  # NaN too
         raise InsufficientOrderError(f"residual order q={q} too small; "
                                      "needs q > growth order + 1/2")

@@ -247,9 +247,9 @@ class FockCoefficients:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockCoefficients":
+        if not cmath.isfinite(scalar):
+            raise ValueError(f"scalar {scalar} is not finite")
         if self.rule is not None:
-            if not cmath.isfinite(scalar):  # a table's products are checked as they are held
-                raise ValueError(f"scalar {scalar} is not finite")
             return FockCoefficients._from_mask_rule(lambda m: _product(scalar, self.rule(m)),
                                                     self.support_bound)
         return FockCoefficients._from_arrays(self._masks, _product(scalar, self._values),

@@ -216,22 +216,24 @@ def mask_weights(masks: np.ndarray, max_index: int) -> np.ndarray:
 def weighted_sums(masks: np.ndarray, values: np.ndarray, exponent: float,
                   starts: Sequence[int], domain: TruncatedDomain) -> list[float]:
     """The sum of weight^exponent |F|^2 over the masks from each start on, one
-    float per start (0.0 from domain.size on), from one vector of terms over
+    float per start (0.0 from domain.size on), from one vector of terms at
     the masks from the least start on, which lies inside the domain.
 
     masks: strictly ascending integers inside the domain, and values the
     coefficients there, covering every nonzero in that range (as
-    FockCoefficients._entries_on gives them).  Each sum is of the contents,
-    in the order and to the bits, of the dense formula over the domain
-    vectors (weight_vector(domain)[start:] ** exponent * |values_on|^2),
-    with 0.0 at the masks without an entry (where the dense formula may
-    multiply an overflowed power by 0).  Where the entries fill the range (a
-    dense table, every rule read) the weights are a slice of weight_vector
-    (of the read-only low table up to 2^16 masks) and the terms are computed
-    in place, with nothing gathered or scattered.  Otherwise the terms at
-    the entries are scattered into a zeroed vector of the range.  Plans the
-    terms vector; the caller checks the float range."""
+    FockCoefficients._entries_on gives them).  Each sum is np.sum of the
+    dense formula over the domain vectors (weight_vector(domain)[start:] **
+    exponent * |values_on|^2), to the bits, with 0.0 at the masks without an
+    entry (where the dense formula may multiply an overflowed power by 0).
+    Where the entries fill the range (a dense table, every rule read) the
+    weights are a slice of weight_vector (of the read-only low table up to
+    2^16 masks), the terms are computed in place and each sum is np.sum of
+    a slice.  Otherwise the terms are computed at the entries only and each
+    sum is _pairwise_sum over them, with no zeroed vector of the range (the
+    lanes of its tree take one float per 8 to 16 masks).  Plans the terms
+    vector; the caller checks the float range."""
     domain.plan(8)
+    starts = [min(s, domain.size) for s in starts]  # each sum from domain.size on is empty
     start = min(starts)
     first = masks.searchsorted(np.uint64(start))
     # int64: the same values once planned, and numpy indexes int64 faster
@@ -241,10 +243,70 @@ def weighted_sums(masks: np.ndarray, values: np.ndarray, exponent: float,
         weights = _low_weights() if domain.max_index < 16 else weight_vector(domain)
         terms = weights[start:domain.size] ** exponent
         terms *= squares
-    else:
-        terms = np.zeros(domain.size - start)
-        terms[masks - start] = mask_weights(masks, domain.max_index) ** exponent * squares
-    return [float(np.sum(terms[s - start:])) for s in starts]
+        return [float(np.sum(terms[s - start:])) for s in starts]
+    terms = mask_weights(masks, domain.max_index) ** exponent * squares
+    return [_pairwise_sum(masks[i:] - s, terms[i:], domain.size - s)
+            for s, i in zip(starts, masks.searchsorted(starts))]
+
+
+def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> float:
+    """np.sum of a float64 vector of the given length that holds the terms
+    (each >= 0) at the positions (ascending int64) and 0.0 elsewhere, to the
+    bits, reading only the terms.
+
+    numpy sums a contiguous vector pairwise (N. J. Higham, SIAM J. Sci.
+    Comput. 14, 1993): a block of more than 128 values splits at half its
+    groups of 8, rounded down, so the right half takes the odd group and the
+    length % 8 leftovers.  A leaf block sums its values in 8 lanes in
+    position order, adds the lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+    leftovers one at a time.  With D >= 1 the first depth at which every
+    block is a leaf, the leaves lie at depths D-1 and D; a leaf at D-1
+    passes down as itself and an empty block (x + 0.0 is x for x >= 0, and
+    so is every sum of an empty block), so one bincount gives the lanes of
+    the 2^D blocks at depth D and D halving adds combine them.
+    tests/test_subsets.py::TestPairwiseSum pins this against np.sum."""
+    groups, leftovers = divmod(length, 8)
+    depth = 1
+    while 8 * -(-groups >> depth) + leftovers > 128:  # the rightmost block is the largest
+        depth += 1
+    blocks = np.array([groups])  # the groups of 8 in each block, down to depth D-1
+    for _ in range(depth - 1):
+        halves = blocks >> 1
+        split = np.empty(2 * blocks.size, np.int64)
+        split[0::2] = halves
+        split[1::2] = blocks - halves
+        blocks = split
+    sizes = 8 * blocks
+    sizes[-1] += leftovers
+    halves = np.where(sizes <= 128, blocks, blocks >> 1)  # the groups of the left child
+    starts = np.zeros(blocks.size + 1, np.int64)
+    np.cumsum(blocks, out=starts[1:])
+    # A block at depth D-1 starts at or before its share i * groups / 2^(D-1)
+    # of the groups (a split at half, rounded down, lies at or before the
+    # midpoint of its parent's shares).  So the inverse of the share guesses
+    # each group's block at or below the one that holds it (one above at
+    # most, by float rounding), and the loops step it there.
+    grouped = positions.searchsorted(8 * groups)
+    at = positions[:grouped]
+    group = at >> 3
+    block = (group * (blocks.size / max(groups, 1))).astype(np.int64)
+    while (over := starts[block] > group).any():
+        block -= over
+    while (under := starts[block + 1] <= group).any():
+        block += under
+    leaf = 2 * block + (group >= starts[block] + halves[block])  # its block at depth D
+    lanes = np.bincount((at & 7) * (2 * blocks.size) + leaf, terms[:grouped],
+                        16 * blocks.size)
+    lanes = lanes.astype(np.float64, copy=False).reshape(8, -1)  # int64 when no terms
+    for step in (1, 2, 4):  # ((0+1)+(2+3))+((4+5)+(6+7)) for every block, in place
+        lanes[0::2 * step] += lanes[step::2 * step]
+    sums = lanes[0]
+    last = 2 * blocks.size - 2 + int(halves[-1] < blocks[-1])  # the leftovers' block
+    for term in terms[grouped:]:
+        sums[last] += term
+    while sums.size > 1:  # the tree, a depth at a time
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
 
 
 def weighted_series(p: float, domain: TruncatedDomain) -> float:

@@ -393,6 +393,25 @@ class TestResidualCurve:
             assert got == approximation_residual(phi, n, q, d)
             assert got == boolean_mask_residual(phi, n, q, d)
 
+    @pytest.mark.parametrize("horizon", [10, 12, 15, 18])
+    @pytest.mark.parametrize("fill", [0.01, 0.15, 0.6])
+    def test_crowded_tables_bitwise_equal_to_dense_formula(self, horizon, fill):
+        # Tables 1-60% full: the sum from each start is a multi-level tree
+        # whose leaves hold several entries per lane, and the suffixes from
+        # 2 and 4 leave 6 and 4 leftovers after the last group of 8.
+        rng = np.random.default_rng(horizon)
+        d = TruncatedDomain(horizon)
+        vector = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+        vector *= rng.choice([1e-150, 1.0, 1e100], d.size)
+        vector[rng.random(d.size) >= fill] = 0
+        vector[-1] = 1.0  # the bound stays at the horizon
+        phi = FockCoefficients.from_vector(vector, horizon)
+        for q in (0.75, 2.0):
+            curve = residual_curve(phi, horizon + 1, q, d)
+            for n, got in enumerate(curve):
+                assert got.hex() == approximation_residual(phi, n, q, d).hex()
+                assert got.hex() == boolean_mask_residual(phi, n, q, d).hex(), (n, q)
+
     def test_order_checked_first(self):
         with pytest.raises(InsufficientOrderError):
             residual_curve(all_ones(), 2, 0.5, TruncatedDomain(31))

@@ -244,16 +244,17 @@ def dense_formula_norm(phi, p, domain):
 
 
 def norm_inputs(horizon):
-    """(functional, is a rule) pairs at the horizon: a dense, a sparse, an
-    empty and a one-entry table, all_ones and (up to horizon 12) a scalar
-    rule."""
+    """(functional, is a rule) pairs at the horizon: a dense table, tables
+    1%, 10% and 60% full, an empty and a one-entry table, all_ones and (up
+    to horizon 12) a scalar rule."""
     rng = np.random.default_rng(horizon)
     size = 2 << horizon
     dense = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    sparse = np.where(rng.random(size) < 0.1, dense, 0)
-    sparse[size - 1] = 0.5j  # the bound stays at the horizon
     yield FockCoefficients.from_vector(dense, horizon), False
-    yield FockCoefficients.from_vector(sparse, horizon), False
+    for fill in (0.01, 0.1, 0.6):  # from horizon 7, several entries share a lane
+        sparse = np.where(rng.random(size) < fill, dense, 0)
+        sparse[size - 1] = 0.5j  # the bound stays at the horizon
+        yield FockCoefficients.from_vector(sparse, horizon), False
     yield FockCoefficients.zero(), False
     yield FockCoefficients({FiniteSubset(size - 2): -2.0 + 1j}), False
     yield all_ones(), True
@@ -266,7 +267,7 @@ class TestSobolevNormKernel:
     ** (2p) * |values_on|^2)) wherever that is finite, across the 2^16
     masks of the low weight table."""
 
-    @pytest.mark.parametrize("horizon", range(18))
+    @pytest.mark.parametrize("horizon", range(19))
     def test_bitwise_equal_to_the_dense_formula(self, horizon):
         domain = TruncatedDomain(horizon)
         for phi, rule in norm_inputs(horizon):
@@ -382,6 +383,14 @@ class TestNonFiniteInputs:
         phi = FockCoefficients.from_rule(lambda s: 1 + 1j, support_bound=1)
         for multiple in (lambda: scalar * phi, lambda: phi * scalar):
             self.refused_alone(multiple, r"scalar .* is not finite")
+
+    @pytest.mark.parametrize("scalar", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+    def test_scalar_times_a_table(self, scalar):
+        # inf times the empty table was the zero functional, and times a
+        # nonempty one an overflow error: both are refused as a rule is
+        for phi in (FockCoefficients({}), FockCoefficients({FiniteSubset(1): 2.0})):
+            for multiple in (lambda: scalar * phi, lambda: phi * scalar):
+                self.refused_alone(multiple, r"scalar .* is not finite")
 
 
 class TestDualNormBound:

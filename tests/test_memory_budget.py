@@ -337,13 +337,30 @@ def test_fwht_callers_hold_no_second_input():
 
 def test_sobolev_norm_plans_one_float_per_mask():
     # It reads the entries, not the dense vectors (40 bytes per mask): a
-    # sparse table holds the zeroed terms vector, a dense one the weights,
-    # the terms and the squares.
+    # sparse table holds the lanes of its block tree, a dense one the
+    # weights, the terms and the squares.
     dense = FockCoefficients.from_vector(sample_values(), HORIZON)
     for phi, per_mask in ((sparse_table(), 9), (dense, 25)):
         peak, planned = planned_peak(lambda: sobolev_norm(phi, 1.0, DOMAIN))
         assert planned == FLOAT_VECTOR
         assert peak <= per_mask * DOMAIN.size, peak / DOMAIN.size
+
+
+def test_sparse_sums_cost_their_entries():
+    # 4,096 entries at horizon 18: each sum reads the entries' terms and
+    # the lanes of its block tree (at most 1 byte per mask), not a zeroed
+    # float per mask of the range (8.27 bytes per mask before); the plan
+    # stays one float per mask.
+    domain = TruncatedDomain(18)
+    rng = np.random.default_rng(8)
+    masks = np.sort(rng.choice(domain.size, 4096, replace=False)).astype(np.uint64)
+    phi = FockCoefficients._from_arrays(masks, rng.standard_normal(4096) + 1j, 18)
+    subsets._low_weights()  # built once per process, not per call
+    for call in (lambda: residual_curve(phi, 12, 1.0, domain),
+                 lambda: sobolev_norm(phi, 1.0, domain)):
+        peak, planned = planned_peak(call)
+        assert planned == 8 * domain.size
+        assert peak <= 3 * domain.size, peak / domain.size
 
 
 def test_verifier_peak_does_not_grow_with_the_horizon():

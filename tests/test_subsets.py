@@ -232,6 +232,32 @@ class TestMaskWeights:
         assert mask_weights(np.zeros(0, dtype=np.int64), 40).shape == (0,)
 
 
+class TestPairwiseSum:
+    """subsets._pairwise_sum, the model of numpy's float64 pairwise sum that
+    a sparse table's residuals and norms are read through, is np.sum of the
+    dense vector bit for bit.  A numpy whose summation order changes fails
+    here by name, before the goldens do."""
+
+    # every leaf size, both sides of numpy's 8192-element buffer, and the
+    # suffixes of 2^19 masks from 2^(n+1) on that a horizon-18 residual sums
+    LENGTHS = [*range(301), 8191, 8192, 8193, (1 << 16) - 3, (1 << 16) + 3,
+               *((1 << 19) - (2 << n) for n in range(13))]
+    # a term is a uniform draw times one of these, so blocks mix zeros,
+    # subnormals and values near the top of the range
+    SCALES = np.array([0.0, 5e-324, 1e-300, 1.0, 3.0, 1e300])
+
+    @pytest.mark.parametrize("fill", [0.02, 0.3, 1.0])
+    def test_bitwise_equal_to_np_sum(self, fill):
+        rng = np.random.default_rng(round(100 * fill))
+        for length in self.LENGTHS:
+            positions = np.flatnonzero(rng.random(length) < fill)
+            terms = rng.random(positions.size) * rng.choice(self.SCALES, positions.size)
+            dense = np.zeros(length)
+            dense[positions] = terms
+            got = subsets._pairwise_sum(positions, terms, length)
+            assert got.hex() == float(np.sum(dense)).hex(), (length, fill)
+
+
 class TestWeightedSeries:
     def test_small_enumeration(self):
         # 1 + 1 + 1/4 + 1/4 over the four subsets of {0,1}

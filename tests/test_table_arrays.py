@@ -111,17 +111,18 @@ def pair(table):
     return FockCoefficients(table), DictTable(table)
 
 
-def same_or_refused(operation, oracle: DictTable) -> None:
+def same_or_refused(operation, oracle: DictTable, scalar: complex = 0j) -> None:
     """same(operation(), oracle), except where the library refuses: a sum or
     a product that overflows, or that makes an invalid value (inf - inf,
-    inf * 0), raises one ValueError, and so does a result that holds an
-    infinite or NaN value (a non-finite scalar's multiple); then the
-    oracle's Python arithmetic must have made an infinite or NaN value."""
+    inf * 0), raises one ValueError, and so does a multiple by a scalar that
+    is not finite (even of the empty table); then the scalar is not finite
+    or the oracle's Python arithmetic must have made an infinite or NaN
+    value."""
     try:
         phi = operation()
     except ValueError as error:
         assert "overflows the float range" in str(error) or "is not finite" in str(error)
-        assert not all(map(cmath.isfinite, oracle.table.values()))
+        assert not cmath.isfinite(scalar) or not all(map(cmath.isfinite, oracle.table.values()))
         return
     same(phi, oracle)
 
@@ -144,8 +145,8 @@ def test_real_scalar_multiple(table, scalar):
     phi, oracle = pair(table)
     if phi is None:
         return
-    same_or_refused(lambda: scalar * phi, scalar * oracle)
-    same_or_refused(lambda: phi * scalar, scalar * oracle)
+    same_or_refused(lambda: scalar * phi, scalar * oracle, scalar)
+    same_or_refused(lambda: phi * scalar, scalar * oracle, scalar)
 
 
 @settings(max_examples=200)

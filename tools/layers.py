@@ -5,13 +5,14 @@ transform and the chaos expansion and synthesis at horizon 18, a rule read at
 horizon 18, a residual curve, a classical verdict, the normal-martingale
 verifier and the package import), the product measure at minus_prob 0.3
 (biased_probabilities) and the Walsh function of the 5-element subset
-{0, 4, 9, 13, 18} at horizon 18, plus sobolev_norm at order 1 and
-approximation_residual at each level 0..12 on the coefficient tables of the
-approx-dense and approx-sparse-wide workloads (seed 1, built by
-`bench/workloads.py`, imported and not changed).  Each call is timed with
-time.perf_counter; the import is timed by `python -X importtime` in a child
-process.  Keys ending in "_ms" hold one time; the two residual keys hold the
-list of times at levels 0..12.
+{0, 4, 9, 13, 18} at horizon 18, plus sobolev_norm at order 1, the
+residual curve at order 1 over levels 0..12 (residual_curve, the path of
+`martfock approx --csv`) and approximation_residual at each level 0..12 on
+the coefficient tables of the approx-dense and approx-sparse-wide workloads
+(seed 1, built by `bench/workloads.py`, imported and not changed).  Each
+call is timed with time.perf_counter; the import is timed by `python -X
+importtime` in a child process.  Keys ending in "_ms" hold one time; the two
+approximation_residual keys hold the list of times at levels 0..12.
 
 Usage: python3 tools/layers.py
 """
@@ -92,6 +93,8 @@ def main() -> int:
     for name in ("approx-dense", "approx-sparse-wide"):
         phi, domain = workload_table(mf, workloads, name)
         out[f"sobolev_norm_{name}_ms"] = best_ms(lambda: mf.sobolev_norm(phi, 1.0, domain))
+        out[f"residual_curve_{name}_ms"] = best_ms(
+            lambda: mf.residual_curve(phi, 12, 1.0, domain))
         out[f"approximation_residual_{name}"] = [
             best_ms(lambda: mf.approximation_residual(phi, n, 1.0, domain)) for n in range(13)]
     print(json.dumps(out))
