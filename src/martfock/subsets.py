@@ -263,7 +263,10 @@ def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> floa
     block is a leaf, the leaves lie at depths D-1 and D; a leaf at D-1
     passes down as itself and an empty block (x + 0.0 is x for x >= 0, and
     so is every sum of an empty block), so one bincount gives the lanes of
-    the 2^D blocks at depth D and D halving adds combine them.
+    the 2^D blocks at depth D and D halving adds combine them.  bincount
+    checks no float status, so a sum that passes the float range raises
+    FloatingPointError here, as np.sum does under np.errstate(over="raise")
+    (the terms, >= 0 and finite, can only overflow).
     tests/test_subsets.py::TestPairwiseSum pins this against np.sum."""
     groups, leftovers = divmod(length, 8)
     depth = 1
@@ -281,19 +284,10 @@ def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> floa
     halves = np.where(sizes <= 128, blocks, blocks >> 1)  # the groups of the left child
     starts = np.zeros(blocks.size + 1, np.int64)
     np.cumsum(blocks, out=starts[1:])
-    # A block at depth D-1 starts at or before its share i * groups / 2^(D-1)
-    # of the groups (a split at half, rounded down, lies at or before the
-    # midpoint of its parent's shares).  So the inverse of the share guesses
-    # each group's block at or below the one that holds it (one above at
-    # most, by float rounding), and the loops step it there.
     grouped = positions.searchsorted(8 * groups)
     at = positions[:grouped]
     group = at >> 3
-    block = (group * (blocks.size / max(groups, 1))).astype(np.int64)
-    while (over := starts[block] > group).any():
-        block -= over
-    while (under := starts[block + 1] <= group).any():
-        block += under
+    block = starts.searchsorted(group, "right") - 1  # its block at depth D-1
     leaf = 2 * block + (group >= starts[block] + halves[block])  # its block at depth D
     lanes = np.bincount((at & 7) * (2 * blocks.size) + leaf, terms[:grouped],
                         16 * blocks.size)
@@ -306,7 +300,10 @@ def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> floa
         sums[last] += term
     while sums.size > 1:  # the tree, a depth at a time
         sums = sums[0::2] + sums[1::2]
-    return float(sums[0])
+    total = float(sums[0])
+    if not math.isfinite(total):  # the terms are finite, so the sum overflowed
+        raise FloatingPointError("overflow encountered in the pairwise sum")
+    return total
 
 
 def weighted_series(p: float, domain: TruncatedDomain) -> float:

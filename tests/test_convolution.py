@@ -256,6 +256,18 @@ class TestApproximationResidual:
         vals = [approximation_residual(all_ones(), n, 1.0, d) for n in range(9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_overflowing_sum_is_one_value_error(self):
+        # A sparse table (100 of 128 masks) of finite terms near 1e308 / w^1.5
+        # whose sum from mask 2 overflows.  It overflows where the lanes
+        # combine: at q > 1/2 one lane of a leaf holds less than the float
+        # range, since its 1/w sum from mask 2 on stays below 1.
+        phi = FockCoefficients({FiniteSubset(m): math.sqrt(9e307) for m in range(2, 102)})
+        d = TruncatedDomain(6)
+        for residuals in (lambda: approximation_residual(phi, 0, 0.75, d),
+                          lambda: residual_curve(phi, 3, 0.75, d)):
+            with pytest.raises(ValueError, match="residual term or sum at order q=0.75 overflows"):
+                residuals()
+
     def test_single_coefficient_drops_to_zero_at_its_level(self):
         phi = FockCoefficients({FiniteSubset.from_elements([3]): 1.0})
         d = TruncatedDomain(5)

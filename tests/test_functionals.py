@@ -228,6 +228,19 @@ class TestSobolevNorm:
             with pytest.raises(ValueError, match="Sobolev norm at order p=0 overflows"):
                 sobolev_norm(phi, 0, TruncatedDomain(1))
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_overflowing_sum_is_one_value_error(self, p):
+        # Two finite terms near 1e308 in one lane of one leaf of a sparse
+        # table: the sum itself overflows, and is refused as np.sum of the
+        # dense vector refuses it.
+        weights = {8: 4.0, 16: 5.0}
+        phi = FockCoefficients({FiniteSubset(m): math.sqrt(9e307) / w ** p
+                                for m, w in weights.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"Sobolev norm at order p={p} overflows"):
+                sobolev_norm(phi, p, TruncatedDomain(4))
+
     def test_high_order_reads_only_the_entries(self):
         # weight^24 overflows at the large masks, which hold no entry: the
         # dense formula made inf * 0 = NaN there and reported inf

@@ -258,6 +258,19 @@ class TestPairwiseSum:
             assert got.hex() == float(np.sum(dense)).hex(), (length, fill)
 
 
+    def test_overflowing_sum_raises_as_np_sum_does(self):
+        # bincount checks no float status: finite terms whose sum passes
+        # the float range in one lane ([0, 8]), across lanes ([3, 4]) or in
+        # the leftovers ([0, 299]) raise, as np.sum does under over="raise"
+        for positions in ([0, 8], [3, 4], [0, 299]):
+            dense = np.zeros(300)
+            dense[positions] = 9e307
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                np.sum(dense)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                subsets._pairwise_sum(np.array(positions), dense[positions], 300)
+
+
 class TestWeightedSeries:
     def test_small_enumeration(self):
         # 1 + 1 + 1/4 + 1/4 over the four subsets of {0,1}
