@@ -45,11 +45,12 @@ class InsufficientOrderError(ValueError):
 @contextlib.contextmanager
 def float_checked(message: str):
     """Context for numpy arithmetic that raises ValueError(message) where it
-    overflows or makes an invalid value (such as inf - inf)."""
+    overflows or makes an invalid value (such as inf - inf); a math function
+    that overflows (OverflowError) raises it too."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         raise ValueError(message) from None
 
 
@@ -260,8 +261,9 @@ class FockCoefficients:
     def equal_on(self, other: "FockCoefficients", domain: TruncatedDomain,
                  tol: float = 0.0) -> bool:
         """Pointwise coefficient equality over the domain, within tol."""
-        difference = self.values_on(domain) - other.values_on(domain)
-        return bool(np.max(np.abs(difference), initial=0.0) <= tol)
+        with np.errstate(over="ignore"):  # an infinite difference exceeds tol
+            difference = np.abs(self.values_on(domain) - other.values_on(domain))
+        return bool(np.max(difference, initial=0.0) <= tol)
 
     def to_document(self) -> dict:
         """The fock-coefficients/v1 document, for formats.write: the nonzero
@@ -340,14 +342,16 @@ def dual_norm_bound(cert: GrowthCertificate, q: float) -> float:
     """Upper bound scale * sqrt(sum over ALL subsets of weight^(-2(q-order)))
     on the dual norm of any functional admitting the certificate.
 
-    Requires q > order + 1/2 so the untruncated series converges.
+    Requires q > order + 1/2 so the untruncated series converges; a bound
+    that overflows the float range raises ValueError.
     """
     if not q > cert.order + 0.5:  # NaN too
         raise InsufficientOrderError(f"dual order q={q} must exceed certificate "
                                      f"order + 1/2 = {cert.order + 0.5}")
     if cert.scale == 0:
         return 0.0
-    return cert.scale * float(np.sqrt(full_series(2.0 * (q - cert.order))))
+    with float_checked("the dual norm bound overflows the float range"):
+        return float(cert.scale * np.sqrt(full_series(2.0 * (q - cert.order))))
 
 
 def pairing(phi: FockCoefficients, xi: FockCoefficients,
@@ -420,7 +424,8 @@ def verify_certificate(
         raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
     abs_values = np.abs(phi.values_on(domain))
     bound = cert.bound_at(weight_vector(domain))
-    bad = np.nonzero(abs_values > bound * (1.0 + rtol))[0]
+    with np.errstate(over="ignore"):  # an infinite slack bound is exceeded by nothing
+        bad = np.nonzero(abs_values > bound * (1.0 + rtol))[0]
     if bad.size == 0:
         return True, None
     worst = bad[int(np.argmax((abs_values - bound)[bad]))]

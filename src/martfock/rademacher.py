@@ -100,10 +100,14 @@ def walsh(space: SampleSpace, sigma: FiniteSubset) -> RandomFunctional:
 
 def inner_product(f: RandomFunctional, g: RandomFunctional) -> complex:
     """L2 inner product (conjugate-linear in the first argument) under the
-    uniform measure."""
+    uniform measure; ValueError if it is not finite (np.vdot overflows
+    without a float flag)."""
     if f.space != g.space:
         raise ValueError("functionals live on different sample spaces")
-    return complex(np.vdot(f.values, g.values)) / f.space.size
+    product = complex(np.vdot(f.values, g.values)) / f.space.size
+    if not np.isfinite(product):
+        raise ValueError(f"the inner product {product} is not finite")
+    return product
 
 
 def l2_norm(f: RandomFunctional) -> float:
@@ -164,9 +168,7 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def chaos_expand(f: RandomFunctional) -> FockCoefficients:
     """Walsh chaos coefficients c(sigma) = <Z_sigma, f> for all sigma within
     the horizon, via the fast transform."""
-    coeffs = fwht(f.values)
-    coeffs /= f.space.size
-    return FockCoefficients.from_vector(coeffs, f.space.horizon)
+    return FockCoefficients.from_vector(_low_chaos(f, f.space.horizon), f.space.horizon)
 
 
 def synthesize(c: FockCoefficients, space: SampleSpace) -> RandomFunctional:
@@ -202,10 +204,8 @@ def conditional_expectation_by_averaging(f: RandomFunctional, n: int) -> RandomF
     coordinates n+1..N (rows of the reshaped value vector)."""
     if not 0 <= n <= f.space.horizon:
         raise OutOfHorizonError(f"index {n} outside 0..{f.space.horizon}")
-    block = 1 << (n + 1)
-    grid = f.values.reshape(-1, block)
-    mean = grid.mean(axis=0)
-    return RandomFunctional(f.space, np.tile(mean, grid.shape[0]))
+    grid = f.values.reshape(-1, 2 << n)  # [later coordinates, atom of the first n+1]
+    return RandomFunctional(f.space, np.tile(grid.mean(axis=0), grid.shape[0]))
 
 
 def random_functional(space: SampleSpace, seed: int) -> RandomFunctional:
@@ -265,35 +265,37 @@ def verify_normal_martingale(
     (negative control) breaks the mean condition.  probabilities must be
     finite, nonnegative and sum to 1 within 1e-9 (ValueError otherwise).
 
-    M_n depends only on the first n+1 coordinates, so it is held per atom of
-    them, 2^(n+1) values built by doubling: M_n = (M_{n-1} + 1, M_{n-1} - 1)
-    on the atoms with coordinate n equal to +1, then -1.  Each conditional
-    expectation sums, over the points of an atom of the first n coordinates,
-    the products of the masses by M_n (or M_n^2) in ascending point order,
-    and divides by the atom's mass.  Atoms of zero mass are skipped, since
-    the identities hold almost surely.
+    The identities need only the marginals of the measure, so it is folded
+    once, top coordinate first: for n = N..1 the law of coordinates 0..n
+    splits by coordinate n into plus and minus, and their sum is the law of
+    coordinates 0..n-1.  On an atom of nonzero mass, E[Z_n | atom] =
+    (plus - minus) / mass is the mean deviation and, since Z_n^2 = 1,
+    2 M_{n-1} E[Z_n | atom] the second-moment one.  Atoms of zero mass are
+    skipped, since the identities hold almost surely.  M_{N-1} is built once
+    per atom of the first N coordinates by doubling; its first 2^n values
+    less N - n are M_{n-1}, exactly.
     """
-    space.domain().plan(56)  # the measure, and the last step's M_N and temporaries
+    space.domain().plan(40)  # the measure, the walk, and the first fold's temporaries
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
              else np.asarray(probabilities, dtype=float))
     if probs.shape != (space.size,):
         raise ValueError("probability vector length mismatch")
     if not (np.isfinite(probs).all() and probs.min() >= 0 and abs(probs.sum() - 1.0) <= 1e-9):
         raise ValueError("probabilities must be finite, nonnegative and sum to 1 within 1e-9")
-    walk = space.signs(0)  # M_0
-    mean_dev = abs(float(np.dot(walk, probs)))  # E[M_0] = 0
-    sq_dev = abs(float(np.dot(walk ** 2, probs)) - 1.0)  # E[M_0^2] = 1
-    walk = np.array([1.0, -1.0])  # M_0 per atom of the first coordinate
-    for n in range(1, space.horizon + 1):
-        prev, walk = walk, np.concatenate([walk + 1.0, walk - 1.0])  # M_{n-1}, M_n
-        atoms = probs.reshape(-1, 2, 1 << n)  # [later coordinates, coordinate n, atom]
-        mass = probs.reshape(-1, 1 << n).sum(axis=0)
-        charged = mass > 0
-        cond_mean, cond_sq = ((atoms * v.reshape(2, 1 << n)).reshape(-1, 1 << n).sum(axis=0)
-                              [charged] / mass[charged] for v in (walk, walk ** 2))
-        prev = prev[charged]
-        mean_dev = max(mean_dev, float(np.max(np.abs(cond_mean - prev))))
-        sq_dev = max(sq_dev, float(np.max(np.abs(cond_sq - prev ** 2 - 1.0))))
+    horizon, law, walk = space.horizon, probs, np.zeros(1)
+    for _ in range(horizon):  # M_{-1} = 0 on one atom, doubled to M_{N-1}
+        walk = np.concatenate([walk + 1.0, walk - 1.0])
+    deviations = []  # (mean, second moment) per step, the largest over its atoms
+    for n in range(horizon, 0, -1):
+        plus, minus = law[:1 << n], law[1 << n:]
+        law = plus + minus
+        charged = law > 0
+        drift = np.abs(plus - minus)[charged] / law[charged]  # |E[Z_n | atom]|
+        prev = np.abs(walk[:1 << n][charged] - (horizon - n))  # |M_{n-1}|
+        deviations.append((drift.max(), 2.0 * (prev * drift).max()))
+    # Step 0, on the last law's two atoms: E[M_0] = 0 and E[M_0^2] = 1.
+    deviations.append((abs(law[0] - law[1]), abs(law[0] + law[1] - 1.0)))
+    mean_dev, sq_dev = (float(d) for d in np.max(deviations, axis=0))
 
     conditions = (
         MartingaleCondition("conditional mean", mean_dev, mean_dev <= tol),

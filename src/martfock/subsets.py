@@ -63,9 +63,7 @@ class FiniteSubset:
 
     def max_element(self) -> int | None:
         """Largest element, or None for the empty set."""
-        if self.mask == 0:
-            return None
-        return self.mask.bit_length() - 1
+        return self.mask.bit_length() - 1 if self.mask else None
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -370,7 +368,10 @@ def series_upper_bound(p: float) -> float:
     return math.exp(zeta(p))
 
 
-def full_series(s: float, head_terms: int = 2000) -> float:
+_SERIES_HEAD = 2000  # factors of full_series multiplied out before the zeta tail
+
+
+def full_series(s: float) -> float:
     """The untruncated series sum over ALL finite subsets of weight^(-s), s > 1.
 
     Equals the infinite product prod_{k>=1}(1 + k^-s).  Evaluated as a finite
@@ -379,11 +380,11 @@ def full_series(s: float, head_terms: int = 2000) -> float:
     """
     if not s > 1:  # NaN too
         raise InvalidExponentError(f"full series requires exponent > 1, got {s}")
-    k = np.arange(1, head_terms + 1, dtype=float)
+    k = np.arange(1, _SERIES_HEAD + 1, dtype=float)
     log_head = float(np.sum(np.log1p(k ** (-s))))
     log_tail = 0.0
     for j in range(1, 80):
-        term = (-1.0) ** (j + 1) * zeta(j * s, head_terms + 1.0) / j
+        term = (-1.0) ** (j + 1) * zeta(j * s, _SERIES_HEAD + 1.0) / j
         log_tail += term
         if abs(term) < 1e-18:
             break

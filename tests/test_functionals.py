@@ -355,6 +355,31 @@ class TestOverflowIsOneValueError:
         self.raises_alone(lambda: pairing(a, a, TruncatedDomain(2)),
                           "the pairing overflows")
 
+    def test_dual_norm_bound(self):
+        # 1e308 * sqrt(sinh(pi) / pi) was returned as inf, and at q = 0.5001
+        # the series' math.exp raised OverflowError
+        for scale, q in ((1e308, 1.0), (1.0, 0.5001)):
+            self.raises_alone(lambda: dual_norm_bound(GrowthCertificate(scale, 0.0), q),
+                              "the dual norm bound overflows the float range")
+
+    def test_an_infinite_difference_is_unequal(self):
+        # 1e308 - (-1e308) overflowed with a RuntimeWarning
+        big, d = FockCoefficients({FiniteSubset(1): 1e308}), TruncatedDomain(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not big.equal_on(-1.0 * big, d, tol=1e308)
+            assert big.equal_on(big, d)
+
+    def test_an_infinite_slack_is_exceeded_by_nothing(self):
+        # 1e308 * (1 + 1) overflowed with a RuntimeWarning
+        big, d = FockCoefficients({FiniteSubset(1): 1e308}), TruncatedDomain(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_certificate(big, GrowthCertificate(1e308, 0.0), d, rtol=1) == (
+                True, None)
+            assert verify_certificate(big, GrowthCertificate(1e307, 0.0), d, rtol=1) == (
+                False, FiniteSubset(1))
+
     def test_finite_results_keep_their_bits(self):
         a = FockCoefficients({FiniteSubset(1): 1e308 + 0j, FiniteSubset(2): -0.0 + 1j})
         b = FockCoefficients({FiniteSubset(1): -1e308 + 0j, FiniteSubset(3): 2.0})

@@ -364,8 +364,9 @@ def test_sparse_sums_cost_their_entries():
 
 
 def test_verifier_peak_does_not_grow_with_the_horizon():
-    # The walk is built a step at a time, holding M_{n-1} and M_n: the peak
-    # per mask is the same at horizon 12 as at 16, and within the plan.
+    # The measure is folded a coordinate at a time, beside one walk of
+    # 2^N values: the peak per mask is the same at horizon 12 as at 16, and
+    # within the plan.
     per_mask = []
     for horizon in (12, 16):
         space = SampleSpace(horizon)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ class TestInnerProduct:
         g = constant(sp)
         assert inner_product(f, g) == -1j
         assert inner_product(g, f) == 1j
+
+    def test_an_overflowing_product_is_refused(self):
+        # np.vdot sets no float flag: these read (inf+nanj) and inf
+        f = RandomFunctional(SampleSpace(1), np.full(4, 1e200))
+        for call in (lambda: inner_product(f, f), lambda: l2_norm(f)):
+            with pytest.raises(ValueError, match=r"the inner product \(inf\+nanj\) is not"):
+                call()
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
@@ -427,31 +435,84 @@ class TestNormalMartingaleVerifier:
         assert data["passed"] is True
         assert len(data["conditions"]) == 2
 
-    @pytest.mark.parametrize("measure", [None, 0.3, 0.7, 0.75, "random-1", "random-2"])
-    def test_deviations_match_the_stacked_walk_bit_for_bit(self, measure):
+    @pytest.mark.parametrize("minus_prob", [None, 0.25, 0.75])
+    def test_deviations_match_the_stacked_walk_bit_for_bit(self, minus_prob):
         # None is the uniform measure, a float the minus_prob of
-        # biased_probabilities; a seeded random measure's atoms do not factor
-        # over the coordinates, so it pins every per-atom sum
+        # biased_probabilities: dyadic masses, whose sums are exact in any
+        # order, so the fold meets the stacked walk's bits
+        for horizon in range(13):
+            sp = SampleSpace(horizon)
+            probs = (np.full(sp.size, 1.0 / sp.size) if minus_prob is None
+                     else biased_probabilities(sp, minus_prob))
+            report = verify_normal_martingale(sp, None if minus_prob is None else probs)
+            got = [c.max_deviation.hex() for c in report.conditions]
+            assert got == [d.hex() for d in stacked_walk_deviations(sp, probs)], horizon
+
+    @pytest.mark.parametrize("measure", [0.3, 0.7, "random-1", "random-2"])
+    def test_deviations_within_four_ulp_of_the_exact_ones(self, measure):
+        # A float is the minus_prob of biased_probabilities; a seeded random
+        # measure's atoms do not factor over the coordinates.  Their masses
+        # are not dyadic, so every summation order rounds differently: the
+        # oracle is exact rational arithmetic.  From horizon 1: at horizon 0
+        # the second-moment deviation is only the rounding of the masses'
+        # sum, whose exact value is far below its ulp.
         if isinstance(measure, str):
             rng = np.random.default_rng(int(measure.split("-")[1]))
-        for horizon in range(11 if isinstance(measure, str) else 13):
+        for horizon in range(1, 8):
             sp = SampleSpace(horizon)
-            if measure is None:
-                probs = np.full(sp.size, 1.0 / sp.size)
-            elif isinstance(measure, str):
+            if isinstance(measure, str):
                 probs = rng.random(sp.size)
                 probs /= probs.sum()
             else:
                 probs = biased_probabilities(sp, measure)
-            report = verify_normal_martingale(sp, None if measure is None else probs)
-            got = [c.max_deviation.hex() for c in report.conditions]
-            assert got == [d.hex() for d in stacked_walk_deviations(sp, probs)], horizon
+            report = verify_normal_martingale(sp, probs)
+            for c, want in zip(report.conditions, exact_deviations(sp, probs)):
+                assert abs(c.max_deviation - want) <= 4 * np.spacing(want), (horizon, c, want)
+
+    @pytest.mark.parametrize("minus_prob", [0.1, 0.3, 0.7, 0.75])
+    def test_product_measures_meet_the_closed_form(self, minus_prob):
+        # Under a product measure E[Z_n | atom] = 1 - 2p on every atom, so
+        # the deviations are |1 - 2p| and 2N |1 - 2p| (|M_{N-1}| <= N).
+        # Within 4 ulp of 1, relative: the masses' own rounding moves the
+        # step-0 mean up to 4 ulp of its value at p = 0.1.
+        drift = abs(1 - 2 * Fraction(minus_prob))
+        for horizon in range(19):
+            sp = SampleSpace(horizon)
+            report = verify_normal_martingale(sp, biased_probabilities(sp, minus_prob))
+            want = [float(drift), float(2 * horizon * drift)]
+            got = [c.max_deviation for c in report.conditions]
+            assert got == pytest.approx(want, rel=4 * 2.0 ** -52, abs=0.0), horizon
+
+
+def exact_deviations(sp, probs):
+    """The verifier's (mean, second moment) deviations in rational
+    arithmetic, by their definition: on each atom of the first n
+    coordinates, the sums of P, P M_n and P M_n^2 over its points."""
+    masses = [Fraction(p) for p in probs.tolist()]
+
+    def walk(m, n):  # M_n at point m
+        return sum(1 - 2 * ((m >> k) & 1) for k in range(n + 1))
+
+    mean = abs(sum(p * walk(m, 0) for m, p in enumerate(masses)))
+    sq = abs(sum(masses) - 1)
+    for n in range(1, sp.horizon + 1):
+        atoms = {}
+        for m, p in enumerate(masses):
+            mass, first, second = atoms.get(m % (1 << n), (0, 0, 0))
+            step = walk(m, n)
+            atoms[m % (1 << n)] = (mass + p, first + p * step, second + p * step ** 2)
+        for a, (mass, first, second) in atoms.items():
+            if mass:
+                prev = walk(a, n - 1)
+                mean = max(mean, abs(first / mass - prev))
+                sq = max(sq, abs(second / mass - prev ** 2 - 1))
+    return float(mean), float(sq)
 
 
 def stacked_walk_deviations(sp, probs):
-    """The verifier's (mean, second moment) deviations by the walk it
-    replaced, kept as the reference: every M_n stacked in one matrix, and
-    each conditional expectation tiled back to one value per point."""
+    """The verifier's (mean, second moment) deviations by an earlier walk,
+    kept as the reference: every M_n stacked in one matrix, and each
+    conditional expectation tiled back to one value per point."""
     walk = np.cumsum(np.stack([sp.signs(k) for k in range(sp.horizon + 1)]), axis=0)
 
     def conditional(values, n):

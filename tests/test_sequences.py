@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from martfock import sequences, subsets
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
-from martfock.functionals import FockCoefficients, fit_growth_values
+from martfock.functionals import FockCoefficients, dual_norm_bound, fit_growth_values
 from martfock.rademacher import (
     SampleSpace,
     chaos_expand,
@@ -571,6 +571,12 @@ class TestUniformBoundedness:
         with pytest.raises(ValueError):
             uniform_boundedness([], TruncatedDomain(2))
 
+    def test_overflowing_dual_bound_is_refused(self):
+        # the certificate (1e308, 0) is finite, its dual bound was inf
+        family = [FockCoefficients({FiniteSubset(0): 1e308})]
+        with pytest.raises(ValueError, match="the dual norm bound overflows"):
+            uniform_boundedness(family, TruncatedDomain(2))
+
     def test_bounded_iff_converged_for_martingales(self):
         # bounded martingale family -> certificate and CONVERGED agree;
         # the unbounded-at-empty-set family fails both
@@ -766,10 +772,15 @@ def assert_streamed_matches_matrix(seq, domain, tol=1e-9):
     limits = [outcome(limit, seq, domain, tol) for limit in (martingale_limit, matrix_limit)]
     got_limit, want_limit = [x if isinstance(x, tuple) else table_fields(x) for x in limits]
     assert got_limit == want_limit
-    bound = uniform_boundedness(seq.terms, domain)
     _, cert = fit_growth_values(matrix_uniform_sup(seq.terms, domain),
                                 weight_vector(domain), (0.0, 1.0, 2.0), domain)
-    assert (bound and bound.certificate) == cert
+    try:
+        bound = uniform_boundedness(seq.terms, domain)
+    except ValueError:  # only where the certificate's dual bound overflows
+        with pytest.raises(ValueError, match="the dual norm bound overflows"):
+            dual_norm_bound(cert, cert.order + 1.0)
+    else:
+        assert (bound and bound.certificate) == cert
     return got
 
 

@@ -328,10 +328,12 @@ class TestFullSeries:
         for n in range(13):
             assert weighted_series(2, TruncatedDomain(n)) < fs
 
-    def test_head_length_insensitive(self):
-        assert full_series(1.5, head_terms=500) == pytest.approx(
-            full_series(1.5, head_terms=4000), rel=1e-12
-        )
+    def test_head_length_insensitive(self, monkeypatch):
+        values = []
+        for head in (500, 4000):
+            monkeypatch.setattr(subsets, "_SERIES_HEAD", head)
+            values.append(full_series(1.5))
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
 class TestZeta:
