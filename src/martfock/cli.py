@@ -5,11 +5,15 @@ factorized oracle and closed bound, chaos expansion / synthesis of sample
 files, martingale checking, convergence verdicts, and truncation
 approximants with residual curves.
 
-Outputs are deterministic: JSON documents are read and written by formats
-(canonical: sorted keys, compact separators), CSV rows in ascending order.
-approx and converge write their --out and --csv files both or neither
-(formats.staged).  Exit codes: 0 on success (and on a passing verdict), 1 on
-a failing verdict, 2 on usage or input errors.
+Each cmd_* computes: it returns its exit code and its outputs, each a path
+(None for stdout) and the strings to write there, and writes nothing.  main
+hands the outputs to formats.write_all, which writes every file or none and
+stdout only once every file is complete, so a call that exits 2 prints
+nothing on stdout and leaves no output file.  Outputs are deterministic:
+JSON documents are read and written by formats (canonical: sorted keys,
+compact separators), CSV rows in ascending order.  Exit codes: 0 on success
+(and on a passing verdict), 1 on a failing verdict, 2 on usage or input
+errors, reported on one error: line.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -52,43 +55,36 @@ def _horizon(args, bound: int) -> int:
     return bound if args.horizon is None else args.horizon
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args):
     try:
         sigma = FiniteSubset.from_json(json.loads(args.sigma))
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
-    print(subsets.weight(sigma))
-    return EXIT_OK
+    return EXIT_OK, [(None, [f"{subsets.weight(sigma)}\n"])]
 
 
-def cmd_series(args) -> int:
-    domain = TruncatedDomain(args.horizon)
-    truncated = subsets.weighted_series(args.p, domain)
+def cmd_series(args):
+    truncated = subsets.weighted_series(args.p, TruncatedDomain(args.horizon))
     oracle = subsets.weighted_series_product(args.p, args.horizon)
-    print(f"truncated_sum {truncated:.17g}")
-    print(f"factorized_oracle {oracle:.17g}")
     ok = abs(truncated - oracle) <= 1e-12 * oracle
-    if args.p <= 1:
-        print("bound none (no-bound mode: exponent <= 1)")
-    else:
-        bound = subsets.series_upper_bound(args.p)
-        print(f"bound {bound:.17g}")
-        ok = ok and truncated <= bound
-    print("verdict PASS" if ok else "verdict FAIL")
-    return EXIT_OK if ok else EXIT_FAIL
+    bound = "none (no-bound mode: exponent <= 1)"
+    if args.p > 1:
+        value = subsets.series_upper_bound(args.p)
+        ok, bound = ok and truncated <= value, f"{value:.17g}"
+    return EXIT_OK if ok else EXIT_FAIL, [(None, [
+        f"truncated_sum {truncated:.17g}\nfactorized_oracle {oracle:.17g}\n",
+        f"bound {bound}\nverdict {'PASS' if ok else 'FAIL'}\n"])]
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     f = RandomFunctional.from_json_dict(formats.load_json(args.input, sigma=False))
-    formats.write(chaos_expand(f).to_document(), args.out)
-    return EXIT_OK
+    return EXIT_OK, [(args.out, formats.canonical(chaos_expand(f).to_document()))]
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args):
     c = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
     f = synthesize(c, SampleSpace(_horizon(args, c.support_bound)))
-    formats.write(f.to_document(), args.out)
-    return EXIT_OK
+    return EXIT_OK, [(args.out, formats.canonical(f.to_document()))]
 
 
 def _sequence_domain(seq: FunctionalSequence, args) -> TruncatedDomain:
@@ -96,7 +92,7 @@ def _sequence_domain(seq: FunctionalSequence, args) -> TruncatedDomain:
     return TruncatedDomain(_horizon(args, max(t.support_bound for t in seq.terms)))
 
 
-def cmd_martingale_check(args) -> int:
+def cmd_martingale_check(args):
     seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = _sequence_domain(seq, args)
     ok, witness = is_generalized_martingale(seq, domain, args.tol)
@@ -104,49 +100,43 @@ def cmd_martingale_check(args) -> int:
     if witness is not None:
         n, sigma = witness
         report["witness"] = {"term": n, "sigma": sigma.to_json()}
-    formats.write(report, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL, [(args.out, formats.canonical(report))]
 
 
-def _write_diagnostics_csv(path: str, diagnostics) -> None:
+def _diagnostics_csv(diagnostics):
     """The rows csv.writer writes, BLOCK_ROWS masks at a time: a sigma cell
     is json.dumps of the element list, quoted once it holds a comma."""
     columns = (diagnostics.stabilization_index, diagnostics.sup_abs,
                diagnostics.certificate_margin)
     texts, block = formats.sigma_texts(", "), formats.BLOCK_ROWS
-    with open(path, "w", newline="") as handle:
-        handle.write("sigma,stabilization_index,sup_abs,certificate_margin\r\n")
-        for start in range(0, len(diagnostics), block):
-            masks = np.arange(start, min(start + block, len(diagnostics)), dtype=np.uint64)
-            rows = zip(texts(masks), *(c[start:start + block].tolist() for c in columns))
-            handle.write("".join([
-                ('"[%s]",%d,%.17g,%.17g\r\n' if "," in row[0] else "[%s],%d,%.17g,%.17g\r\n")
-                % row for row in rows]))
+    yield "sigma,stabilization_index,sup_abs,certificate_margin\r\n"
+    for start in range(0, len(diagnostics), block):
+        masks = np.arange(start, min(start + block, len(diagnostics)), dtype=np.uint64)
+        rows = zip(texts(masks), *(c[start:start + block].tolist() for c in columns))
+        yield "".join([
+            ('"[%s]",%d,%.17g,%.17g\r\n' if "," in row[0] else "[%s],%d,%.17g,%.17g\r\n")
+            % row for row in rows])
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args):
     seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = _sequence_domain(seq, args)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
-    with formats.staged(args.out, args.csv) as (out, csv):
-        formats.write(verdict.to_document(), out)
-        if csv:
-            _write_diagnostics_csv(csv, verdict.diagnostics)
-    return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL
+    outputs = [(args.out, formats.canonical(verdict.to_document()))]
+    if args.csv:
+        outputs.append((args.csv, _diagnostics_csv(verdict.diagnostics)))
+    return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL, outputs
 
 
-def cmd_approx(args) -> int:
+def cmd_approx(args):
     phi = FockCoefficients.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = TruncatedDomain(_horizon(args, phi.support_bound))
     approx = approximate(phi, args.level).restricted(domain)
-    # The residuals come first, so a call that fails on them writes nothing.
-    curve = residual_curve(phi, args.level, args.q, domain) if args.csv else None
-    with formats.staged(args.out, args.csv) as (out, csv):
-        formats.write(approx.to_document(), out)
-        if csv:
-            Path(csv).write_text("n,residual\r\n" + "".join(
-                "%d,%.17g\r\n" % row for row in enumerate(curve)), newline="")
-    return EXIT_OK
+    outputs = [(args.out, formats.canonical(approx.to_document()))]
+    if args.csv:
+        curve = enumerate(residual_curve(phi, args.level, args.q, domain))
+        outputs.append((args.csv, ["n,residual\r\n", *("%d,%.17g\r\n" % row for row in curve)]))
+    return EXIT_OK, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
+        formats.write_all(outputs)
+        return code
     except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -15,20 +15,22 @@ lists as it would a dict built by hand.  JSON nested too deeply for
 json.loads raises ValueError, not RecursionError.
 
 Writing.  A document is a dict of JSON values in which a table is given as
-a Table.  write emits its canonical form: the bytes of
-json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-followed by a newline.  Small values go through json.dumps; rows are written
-BLOCK_ROWS at a time from %-templates over .tolist() columns, so no text as
-long as the table is ever held.  Every check runs before the first byte is
-written.  staged writes a command's output files all or none.
+a Table.  canonical gives its canonical form as an iterator of strings: the
+bytes of json.dumps(doc, sort_keys=True, separators=(",", ":"),
+allow_nan=False) followed by a newline.  Small values go through json.dumps;
+rows come BLOCK_ROWS at a time from %-templates over .tolist() columns, so
+no text as long as the table is ever held.  Every check runs before the
+first string is taken.  write_all writes a command's outputs, each a path
+(None for stdout) and its strings, all or none; write is its one-document
+case.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
+from contextlib import nullcontext, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -224,43 +226,57 @@ def _pieces(value) -> list:
     return pieces + [("}",)]
 
 
+def canonical(doc: dict):
+    """The canonical form of doc, as an iterator of strings.  Every check of
+    the document runs here, before the first string is taken."""
+    return chain.from_iterable(_pieces(doc) + [("\n",)])
+
+
 def write(doc: dict, path: str | None = None) -> None:
-    """Write the canonical form of doc to the file at path, or to stdout.  A
-    document that fails a check writes nothing and opens no file."""
-    pieces = _pieces(doc) + [("\n",)]
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as handle:
-        handle.writelines(chain.from_iterable(pieces))
+    """Write the canonical form of doc to the file at path, or to stdout, as
+    write_all does.  A document that fails a check writes nothing and opens
+    no file."""
+    write_all([(path, canonical(doc))])
 
 
 def as_dict(obj) -> dict:
     """The JSON object that write writes for obj.to_document(): the
     to_json_dict of every class with a document."""
-    return json.loads("".join(chain.from_iterable(_pieces(obj.to_document()))))
+    return json.loads("".join(canonical(obj.to_document())))
 
 
-@contextlib.contextmanager
-def staged(*paths: str | None):
-    """The paths to write for the given output paths: a temporary file beside
-    a regular or new file (beside a symlink's target, not the link), else
-    the path itself (None, for stdout, and a special file such as a device
-    or a pipe, which cannot be replaced).  Two paths to one file raise
-    ValueError, since one output would replace the other.  When the block
-    ends, every temporary file replaces its target with os.replace; when it
-    raises, they are removed."""
-    targets, out = {}, []
-    for path in paths:
+def write_all(outputs: list) -> None:
+    """Write each (path, strings) output, all or none: the files in the order
+    given, then the outputs to stdout (a path of None or ""), then the files
+    move into place.  A regular or new file is written to a temporary file
+    beside it (beside a symlink's target, not the link), which replaces it
+    with os.replace; a special file such as a device or a pipe cannot be
+    replaced and is written in place.  Two outputs to one replaceable file
+    raise ValueError, since one would replace the other.  On any failure
+    the temporary files are removed; an OSError that names one names the
+    path given instead."""
+    targets, staged = {}, []
+    for path, strings in outputs:
+        temp = path
         if path and (os.path.isfile(path) or not os.path.exists(path)):
             target = os.path.realpath(path)
             if target in targets.values():
                 raise ValueError(f"two outputs name one file: {target}")
-            path = f"{target}.{os.urandom(4).hex()}.tmp"
-            targets[path] = target
-        out.append(path)
+            temp = f"{target}.{os.urandom(4).hex()}.tmp"
+            targets[temp] = target
+        staged.append((path, temp, strings))
     try:
-        yield out
+        for path, temp, strings in sorted(staged, key=lambda output: not output[0]):
+            try:
+                with open(temp, "w", newline="") if path else nullcontext(sys.stdout) as out:
+                    out.writelines(strings)
+            except OSError as exc:
+                if exc.filename == temp:
+                    exc.filename = path
+                raise
         for temp, target in targets.items():
             os.replace(temp, target)
     finally:
         for temp in targets:
-            with contextlib.suppress(FileNotFoundError):
+            with suppress(FileNotFoundError):
                 os.remove(temp)

@@ -80,6 +80,13 @@ def _product(a, b) -> np.ndarray:
 _sum = float_checked("a coefficient sum overflows the float range")(np.add)
 
 
+# What reading any rule over a domain plans per mask: one plan for every
+# rule, sized for the heaviest, an adapted scalar rule.  Its masks as Python
+# ints, the memo entries and the values peak at 140-210 bytes per mask under
+# tracemalloc at horizons 13 and 16 (all_ones and composites of it: 40-90).
+RULE_READ_BYTES = 200
+
+
 class FockCoefficients:
     """A generalized functional given by its coefficient table or by a rule.
 
@@ -97,8 +104,8 @@ class FockCoefficients:
     support_bound: an upper bound N with all nonzero coefficients on
     subsets of {0,..,N}.  A declared bound is kept as given (from_vector,
     restricted, convolve and approximate declare one); a table without one
-    takes the smallest such N.  None when unbounded (rule-backed analytic
-    functionals).
+    takes the smallest N that covers every stored mask, a stored zero
+    included.  None when unbounded (rule-backed analytic functionals).
     """
 
     def __init__(self, table: Optional[Mapping[FiniteSubset, complex]] = None,
@@ -207,11 +214,7 @@ class FockCoefficients:
         if self.rule is None:
             inside = self._masks.searchsorted(np.uint64(domain.size - 1), side="right")
             return self._masks[:inside], self._values[:inside]
-        # One plan for every rule, sized for the heaviest, an adapted scalar
-        # rule: the masks as Python ints, the memo entries and the values
-        # peak at 140-210 bytes per mask under tracemalloc at horizons 13
-        # and 16 (all_ones and composites of it: 40-90).
-        domain.plan(200)
+        domain.plan(RULE_READ_BYTES)
         masks = domain.masks()
         return masks, self.rule(masks)
 

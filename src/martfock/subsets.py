@@ -362,10 +362,14 @@ def zeta(s: float, a: float = 1.0) -> float:
 
 
 def series_upper_bound(p: float) -> float:
-    """Upper bound exp(sum_{k>=1} k^-p) on the full (untruncated) series; p > 1."""
+    """Upper bound exp(sum_{k>=1} k^-p) on the full (untruncated) series; p > 1.
+    A bound past the float range, for p just above 1, raises ValueError."""
     if not p > 1:  # NaN too
         raise InvalidExponentError(f"upper bound requires p > 1, got {p}")
-    return math.exp(zeta(p))
+    try:
+        return math.exp(zeta(p))
+    except OverflowError:
+        raise ValueError(f"upper bound at p={p} overflows the float range") from None
 
 
 _SERIES_HEAD = 2000  # factors of full_series multiplied out before the zeta tail

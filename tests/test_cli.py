@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -82,6 +83,15 @@ class TestSeries:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: series exponent must be positive")
+
+    @pytest.mark.parametrize("p", ["1.0001", "1.000000001"])
+    def test_overflowing_bound_is_one_error_line(self, p, capsys):
+        # exp(zeta(p)) passes the float range just above p = 1: nothing is
+        # printed before the error.
+        assert main(["series", "--p", p, "--horizon", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: upper bound at p={p} overflows the float range\n"
 
     def test_infinite_exponent(self, capsys):
         assert main(["series", "--p", "inf", "--horizon", "3"]) == 0
@@ -248,7 +258,7 @@ class TestConverge:
                                            margins)
             path = tmp_path / f"diag{max_index}.csv"
             with mock.patch.object(formats, "BLOCK_ROWS", block):
-                cli._write_diagnostics_csv(str(path), diagnostics)
+                formats.write_all([(str(path), cli._diagnostics_csv(diagnostics))])
             assert path.read_bytes() == self.csv_reference(diagnostics)
 
     def test_diverging_sequence(self, tmp_path, capsys):
@@ -350,20 +360,23 @@ class TestConverge:
 
 class TestOutputFiles:
     @staticmethod
-    def two_output_argv(command, tmp_path):
+    def file_argv(command, tmp_path):
         """argv of a passing call of command on tmp_path/in.json, which it writes."""
         src = tmp_path / "in.json"
-        if command == "approx":
+        if command == "expand":
+            write_json(src, random_functional(SampleSpace(3), 1).to_json_dict())
+            return ["expand", "--in", str(src)]
+        if command in ("synthesize", "approx"):
             write_json(src, indicator_functional(2).to_json_dict())
-            return ["approx", "--in", str(src), "--n", "1"]
+            return [command, "--in", str(src), *(["--n", "1"] if command == "approx" else [])]
         terms = [indicator_functional(n) for n in range(4)]
         write_json(src, FunctionalSequence(terms).to_json_dict())
-        return ["converge", "--in", str(src)]
+        return [command, "--in", str(src)]
 
     @pytest.mark.parametrize("command", ["approx", "converge"])
     @pytest.mark.parametrize("missing", ["--csv", "--out"])
     def test_two_outputs_are_written_or_neither(self, command, missing, tmp_path, capsys):
-        argv = self.two_output_argv(command, tmp_path)
+        argv = self.file_argv(command, tmp_path)
         paths = {"--out": tmp_path / "a.json", "--csv": tmp_path / "r.csv"}
         unwritable = {**paths, missing: tmp_path / "missing" / "dir" / "file"}
         assert main([*argv, *(str(x) for item in unwritable.items() for x in item)]) == 2
@@ -376,8 +389,52 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "in.json", "r.csv"]
 
     @pytest.mark.parametrize("command", ["approx", "converge"])
+    def test_an_unwritable_csv_is_named_as_given(self, command, tmp_path, capsys, monkeypatch):
+        # Without --out the document goes to stdout, after the --csv file:
+        # nothing is printed, and the error names the relative path given,
+        # not the temporary file beside its absolute target.
+        argv = self.file_argv(command, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--csv", os.path.join("missing", "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: [Errno 2] No such file or directory: "
+                                f"{os.path.join('missing', 'r.csv')!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+    @pytest.mark.parametrize(
+        "command", ["expand", "synthesize", "martingale-check", "converge", "approx"])
+    def test_a_write_that_fails_midway_keeps_the_old_files(self, command, tmp_path, capsys):
+        # Every document is streamed from formats.canonical: its first
+        # string is written, then the disk fills.  The files named keep their
+        # old bytes, and no temporary file is left.
+        argv = self.file_argv(command, tmp_path)
+        paths = {"--out": tmp_path / "out.json"}
+        if command in ("approx", "converge"):
+            paths["--csv"] = tmp_path / "r.csv"
+        for path in paths.values():
+            path.write_text("old\n")
+        canonical = formats.canonical
+
+        def failing(doc):
+            strings = canonical(doc)
+            yield next(strings)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with mock.patch.object(formats, "canonical", failing):
+            assert main([*argv, *(str(x) for item in paths.items() for x in item)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert all(path.read_text() == "old\n" for path in paths.values())
+        assert len(list(tmp_path.iterdir())) == 1 + len(paths)
+        # Unpatched, the same call replaces them.
+        assert main([*argv, *(str(x) for item in paths.items() for x in item)]) in (0, 1)
+        assert all(path.read_text() != "old\n" for path in paths.values())
+
+    @pytest.mark.parametrize("command", ["approx", "converge"])
     def test_two_outputs_naming_one_file_are_refused(self, command, tmp_path, capsys):
-        argv = self.two_output_argv(command, tmp_path)
+        argv = self.file_argv(command, tmp_path)
         (tmp_path / "link").symlink_to(tmp_path / "x")
         for out, csv_path in (("x", "x"), ("x", "./x"), ("link", "x")):
             assert main([*argv, "--out", os.path.join(tmp_path, out),

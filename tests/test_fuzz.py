@@ -6,9 +6,9 @@ past their limits.  The memory budget is 4 MiB.  Property: main returns 0, 1
 or 2 and raises nothing (argparse's own usage errors exit through
 SystemExit); no warning is emitted; stderr holds at most one line, except
 argparse's usage text; only the verdict commands (series,
-martingale-check, converge) exit 1; an exit 2 leaves neither the --out nor
-the --csv file behind; and a NaN or infinite --tol, or a NaN --q with
---csv, exits 2.
+martingale-check, converge) exit 1; an exit 2 prints nothing on stdout and
+leaves neither the --out nor the --csv file behind; and a NaN or infinite
+--tol, or a NaN --q with --csv, exits 2.
 """
 
 import contextlib
@@ -161,6 +161,7 @@ HUGE = {"format": "fock-sequence/v1", "terms": [
 @example(("approx", TWO_ROWS, ["--n", "1", "--q", "nan", "--csv", "c"]))
 @example(("approx", TWO_ROWS, ["--n", "1", "--q", "0.5", "--csv", "c"]))
 @example(("converge", HUGE, ["--csv", "c"]))
+@example(("series", None, ["--p", "1.0001", "--horizon", "3"]))
 @given(commands)
 def test_exit_codes_and_stderr(case):
     name, doc, extra = case
@@ -174,9 +175,9 @@ def test_exit_codes_and_stderr(case):
             source.write_text(json.dumps(doc))
             argv += ["--in", str(source), "--out", str(outputs[0])]
         argv += [str(outputs[1]) if x == "c" else x for x in extra]
-        stderr = io.StringIO()
+        stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             try:
@@ -190,5 +191,6 @@ def test_exit_codes_and_stderr(case):
     assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
     assert code != 1 or name in VERDICT_COMMANDS
     assert code != 2 or not written, written
+    assert code != 2 or stdout.getvalue() == "", stdout.getvalue()
     if opts.get("--tol") in ("nan", "inf") or (opts.get("--q") == "nan" and "--csv" in opts):
         assert code == 2

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martfock import cli, formats, sequences, subsets
+from martfock import cli, formats, functionals, sequences, subsets
 from martfock.convolution import (
     all_ones,
     approximate,
@@ -255,9 +255,6 @@ def truncations(length):
                                for n in range(length)])
 
 
-RULE_READ_BYTES = 200  # what reading any rule over a domain plans per mask
-
-
 def rule_truncations(length):
     """Rule-backed terms: the approximants of all_ones at levels
     min(n, HORIZON), n = 0..length-1."""
@@ -280,7 +277,7 @@ STREAMED = {
         truncations, lambda seq: strong_convergence_test(seq, DOMAIN), sequences.VERDICT_BYTES),
     "strong_convergence_test rules": (rule_truncations,
                                       lambda seq: strong_convergence_test(seq, DOMAIN),
-                                      sequences.VERDICT_BYTES + RULE_READ_BYTES),
+                                      sequences.VERDICT_BYTES + functionals.RULE_READ_BYTES),
     "strong_convergence_test scan": (table_sequence,
                                      lambda seq: strong_convergence_test(seq, DOMAIN),
                                      sequences.VERDICT_BYTES),
@@ -404,7 +401,8 @@ def test_writing_the_diagnostics_csv_holds_a_tenth_of_it(tmp_path):
     diagnostics = SigmaDiagnostics(rng.integers(0, 12, DOMAIN.size), rng.random(DOMAIN.size),
                                    rng.standard_normal(DOMAIN.size))
     path = tmp_path / "diag.csv"
-    peak = traced_peak(lambda: cli._write_diagnostics_csv(str(path), diagnostics))
+    rows = cli._diagnostics_csv(diagnostics)
+    peak = traced_peak(lambda: formats.write_all([(str(path), rows)]))
     assert peak <= path.stat().st_size / 10
 
 

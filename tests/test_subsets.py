@@ -295,6 +295,14 @@ class TestWeightedSeries:
         for n in range(13):
             assert weighted_series(2, TruncatedDomain(n)) <= bound
 
+    @pytest.mark.parametrize("p", [1.0001, 1.000000001, math.nextafter(1.0, 2.0)])
+    def test_upper_bound_past_the_float_range_is_one_value_error(self, p):
+        # zeta(p) exceeds log(DBL_MAX) just above p = 1: one ValueError, not
+        # the OverflowError of math.exp, and not an exponent error.
+        with pytest.raises(ValueError, match="overflows the float range") as raised:
+            series_upper_bound(p)
+        assert not isinstance(raised.value, InvalidExponentError)
+
     def test_invalid_exponent(self):
         with pytest.raises(InvalidExponentError):
             weighted_series(0, TruncatedDomain(2))
