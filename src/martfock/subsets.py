@@ -227,9 +227,12 @@ def weighted_sums(masks: np.ndarray, values: np.ndarray, exponent: float,
     weights are a slice of weight_vector (of the read-only low table up to
     2^16 masks), the terms are computed in place and each sum is np.sum of
     a slice.  Otherwise the terms are computed at the entries only and each
-    sum is _pairwise_sum over them, with no zeroed vector of the range (the
-    lanes of its tree take one float per 8 to 16 masks).  Plans the terms
-    vector; the caller checks the float range."""
+    sum is _pairwise_sum over them: no zeroed vector of the range, only the
+    lanes of its tree (one float per 8 to 16 masks), laid out in closed
+    form with a fixed number of numpy calls per sum.  Plans the terms
+    vector.  The caller makes numpy raise on overflow; a sum that is not
+    finite raises FloatingPointError here too, since np.abs flags no
+    |value| past the float range."""
     domain.plan(8)
     starts = [min(s, domain.size) for s in starts]  # each sum from domain.size on is empty
     start = min(starts)
@@ -241,7 +244,10 @@ def weighted_sums(masks: np.ndarray, values: np.ndarray, exponent: float,
         weights = _low_weights() if domain.max_index < 16 else weight_vector(domain)
         terms = weights[start:domain.size] ** exponent
         terms *= squares
-        return [float(np.sum(terms[s - start:])) for s in starts]
+        sums = [float(np.sum(terms[s - start:])) for s in starts]
+        if not math.isfinite(max(sums)):  # np.abs flags no |value| past the float range
+            raise FloatingPointError("overflow encountered in a term")
+        return sums
     terms = mask_weights(masks, domain.max_index) ** exponent * squares
     return [_pairwise_sum(masks[i:] - s, terms[i:], domain.size - s)
             for s, i in zip(starts, masks.searchsorted(starts))]
@@ -261,40 +267,28 @@ def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> floa
     block is a leaf, the leaves lie at depths D-1 and D; a leaf at D-1
     passes down as itself and an empty block (x + 0.0 is x for x >= 0, and
     so is every sum of an empty block), so one bincount gives the lanes of
-    the 2^D blocks at depth D and D halving adds combine them.  bincount
-    checks no float status, so a sum that passes the float range raises
-    FloatingPointError here, as np.sum does under np.errstate(over="raise")
-    (the terms, >= 0 and finite, can only overflow).
-    tests/test_subsets.py::TestPairwiseSum pins this against np.sum."""
+    the 2^D blocks at depth D and D halving adds combine them.  The blocks
+    at depth D-1 come from _layout in closed form and each entry's block
+    from _blocks_of, so a sum costs a fixed number of numpy calls on arrays
+    of its entries and of its 2^(D-1) blocks (one per 120 to 256 values),
+    plus the D adds.  bincount checks no float status, so a sum that passes
+    the float range raises FloatingPointError here, as np.sum does under
+    np.errstate(over="raise") (the terms, >= 0 and finite, can only
+    overflow).  tests/test_subsets.py::TestPairwiseSum pins this against
+    np.sum, and against a model of numpy's recursion past its reach."""
     groups, leftovers = divmod(length, 8)
-    depth = 1
-    while 8 * -(-groups >> depth) + leftovers > 128:  # the rightmost block is the largest
-        depth += 1
-    blocks = np.array([groups])  # the groups of 8 in each block, down to depth D-1
-    for _ in range(depth - 1):
-        halves = blocks >> 1
-        split = np.empty(2 * blocks.size, np.int64)
-        split[0::2] = halves
-        split[1::2] = blocks - halves
-        blocks = split
-    sizes = 8 * blocks
-    sizes[-1] += leftovers
-    halves = np.where(sizes <= 128, blocks, blocks >> 1)  # the groups of the left child
-    starts = np.zeros(blocks.size + 1, np.int64)
-    np.cumsum(blocks, out=starts[1:])
-    grouped = positions.searchsorted(8 * groups)
-    at = positions[:grouped]
+    starts, splits = _layout(groups, leftovers)
+    at = positions[: positions.searchsorted(8 * groups)]  # the grouped entries
     group = at >> 3
-    block = starts.searchsorted(group, "right") - 1  # its block at depth D-1
-    leaf = 2 * block + (group >= starts[block] + halves[block])  # its block at depth D
-    lanes = np.bincount((at & 7) * (2 * blocks.size) + leaf, terms[:grouped],
-                        16 * blocks.size)
+    block = _blocks_of(group, starts)  # its block at depth D-1
+    leaf = 2 * block + (group >= splits[block])  # its block at depth D
+    lanes = np.bincount((at & 7) * (2 * splits.size) + leaf, terms[: at.size], 16 * splits.size)
     lanes = lanes.astype(np.float64, copy=False).reshape(8, -1)  # int64 when no terms
     for step in (1, 2, 4):  # ((0+1)+(2+3))+((4+5)+(6+7)) for every block, in place
         lanes[0::2 * step] += lanes[step::2 * step]
     sums = lanes[0]
-    last = 2 * blocks.size - 2 + int(halves[-1] < blocks[-1])  # the leftovers' block
-    for term in terms[grouped:]:
+    last = 2 * splits.size - 2 + int(splits[-1] < groups)  # the leftovers' block
+    for term in terms[at.size :]:
         sums[last] += term
     while sums.size > 1:  # the tree, a depth at a time
         sums = sums[0::2] + sums[1::2]
@@ -302,6 +296,59 @@ def _pairwise_sum(positions: np.ndarray, terms: np.ndarray, length: int) -> floa
     if not math.isfinite(total):  # the terms are finite, so the sum overflowed
         raise FloatingPointError("overflow encountered in the pairwise sum")
     return total
+
+
+def _layout(groups: int, leftovers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks at depth D-1 of numpy's pairwise tree over groups groups
+    of 8 and then leftovers values (D as in _pairwise_sum): the first group
+    of each block and then groups (starts, int64), and the first group of
+    each block's right child at depth D (splits; the block's end when it is
+    a leaf, whose right child is empty).
+
+    Halving g groups d times, the left half taking the floor, leaves block
+    i at depth d with (g >> d) + [rev_d(i) >= 2^d - g mod 2^d] groups, where
+    rev_d reverses the d low bits (by induction on d: rev_(d+1)(2i) is
+    rev_d(i) and rev_(d+1)(2i+1) is 2^d + rev_d(i)).  The rightmost block
+    is the largest and takes the leftovers."""
+    # D - 1: at depth D the rightmost block, with ceil(g / 2^D) groups, is
+    # the first to be a leaf, of at most 16 groups or 15 and the leftovers
+    m = max(1, (-(-groups // (16 - (leftovers > 0))) - 1).bit_length()) - 1
+    blocks = (_reversal(m) >= (1 << m) - groups % (1 << m)) + (groups >> m)
+    halves = blocks >> (blocks > 16)  # the groups of the left child
+    halves[-1] = blocks[-1] >> (8 * blocks[-1] + leftovers > 128)
+    starts = np.concatenate(([0], blocks)).cumsum()
+    return starts, starts[:-1] + halves
+
+
+def _blocks_of(group: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """starts.searchsorted(group, "right") - 1 for groups (int64, each below
+    starts[-1]) in a _layout, without the binary search: a group x of g in
+    2^m blocks is guessed at its share, floor(x 2^m / g), and corrected by
+    one block either way.  One is enough: the starts of a bit-reversal
+    layout lie within m/3 + 1 groups of their shares i g / 2^m (the star
+    discrepancy of the van der Corput sequence; R. Bejian and H. Faure,
+    C. R. Acad. Sci. Paris 285, 1977), and a block at depth D-1 holds more
+    than 15 groups on average, so for m < 42 (far past any lanes array
+    that fits in memory) the guess is off by one block at most."""
+    guess = (group * ((starts.size - 1) / max(starts[-1], 1))).astype(np.int64)
+    return guess - 1 + (group >= starts[guess]) + (group >= starts[guess + 1])
+
+
+@functools.cache
+def _byte_reversal() -> np.ndarray:
+    """The 8-bit reversal of every byte: the 2 KB int64 table that
+    _reversal composes, read-only and built once, on first use."""
+    reversed_ = np.array([int(f"{byte:08b}"[::-1], 2) for byte in range(256)])
+    reversed_.flags.writeable = False
+    return reversed_
+
+
+def _reversal(m: int) -> np.ndarray:
+    """rev_m(i), the m low bits of i in reverse order, for every i below
+    2^m (int64), a byte at a time: the low byte of i, reversed, leads."""
+    if m <= 8:
+        return _byte_reversal()[: 1 << m] >> (8 - m)
+    return ((_byte_reversal() << (m - 8)) + _reversal(m - 8)[:, None]).ravel()
 
 
 def weighted_series(p: float, domain: TruncatedDomain) -> float:

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -441,6 +442,62 @@ class TestResidualCurve:
                     residual_curve(phi, 2, 1.0, domain)
                 with pytest.raises(DomainTooLargeError):
                     approximation_residual(phi, 2, 1.0, domain)
+
+
+def dense_formula(table, exponent, starts, domain):
+    """sqrt(np.sum(weight_vector(domain)[s:] ** exponent * |values_on|^2))
+    for each start s, with 0.0 at the masks without an entry and the terms
+    computed at the entries from the least start on; None where a term or
+    a sum leaves the float range (flagged, or an infinite |value|, which
+    np.abs does not flag)."""
+    inside = sorted(m for m in table if min(starts) <= m < domain.size)
+    masks = np.array(inside, dtype=np.int64)
+    values = np.array([table[m] for m in inside], dtype=complex)
+    terms = np.zeros(domain.size)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            terms[masks] = weight_vector(domain)[masks] ** exponent * np.abs(values) ** 2
+            sums = [float(np.sqrt(np.sum(terms[s:]))) for s in starts]
+    except FloatingPointError:
+        return None
+    return sums if math.isfinite(max(sums)) else None
+
+
+# Parts across the float range, subnormals and both zeros; a zero value is
+# stored, not dropped.
+wide_parts = (st.floats(min_value=-1.7e308, max_value=1.7e308)
+              | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7e308]))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sums_are_the_dense_formula_or_one_value_error(data):
+    # sobolev_norm, approximation_residual and residual_curve over sparse
+    # (and, at small horizons, full) tables: each result has the bits of the
+    # dense formula, or the call raises ValueError exactly where the formula
+    # leaves the float range, and nothing warns.
+    horizon = data.draw(st.integers(min_value=0, max_value=16))
+    d = TruncatedDomain(horizon)
+    table = data.draw(st.dictionaries(st.integers(min_value=0, max_value=d.size - 1),
+                                      st.builds(complex, wide_parts, wide_parts), max_size=48))
+    phi = FockCoefficients({FiniteSubset(m): v for m, v in table.items()}, horizon)
+    p = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 12.0]))
+    q = data.draw(st.floats(min_value=0.5, max_value=8.0, exclude_min=True))
+    levels = range(horizon + 1)
+    calls = [(lambda: [sobolev_norm(phi, p, d)], dense_formula(table, 2.0 * p, [0], d))]
+    calls += [(lambda n=n: [approximation_residual(phi, n, q, d)],
+               dense_formula(table, -2.0 * q, [2 << n], d) if n < horizon else [0.0])
+              for n in levels]
+    curve = dense_formula(table, -2.0 * q, [2 << n for n in levels], d) if horizon else [0.0]
+    calls.append((lambda: residual_curve(phi, horizon, q, d), curve))
+    for call, expected in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is None:
+                with pytest.raises(ValueError):
+                    call()
+            else:
+                assert [x.hex() for x in call()] == [x.hex() for x in expected]
 
 
 class ScalarPath:

@@ -358,6 +358,37 @@ def test_sparse_sums_cost_their_entries():
         peak, planned = planned_peak(call)
         assert planned == 8 * domain.size
         assert peak <= 3 * domain.size, peak / domain.size
+    # The tables the sums keep (the low weights and the byte reversal that
+    # their tree layouts compose) are built on first use, not at import, and
+    # stay read-only and one size whatever the horizon: layouts of 2^5 to
+    # 2^17 blocks leave the same tables behind.
+    done = subprocess.run([sys.executable, "-c", CACHED_TABLES_CHILD, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"_byte_reversal": 0, "_low_weights": 0}
+    tables = cached_tables()
+    for horizon in (12, 16, 24):
+        small = FockCoefficients._from_arrays(np.array([3, 1 << horizon], np.uint64),
+                                              np.array([1.0, 2.0j]), horizon)
+        sobolev_norm(small, 1.0, TruncatedDomain(horizon))
+        assert cached_tables() == tables, horizon
+    assert tables["_byte_reversal"] == (1, 256 * 8, False)
+
+
+CACHED_TABLES_CHILD = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import martfock
+    from martfock import subsets
+    print(json.dumps({name: f.cache_info().currsize for name, f in vars(subsets).items()
+                      if hasattr(f, "cache_info")}))
+""")
+
+
+def cached_tables():
+    """(entries, bytes, writeable) of each cached table in subsets."""
+    return {name: (f.cache_info().currsize, f().nbytes, f().flags.writeable)
+            for name, f in vars(subsets).items() if hasattr(f, "cache_info")}
 
 
 def test_verifier_peak_does_not_grow_with_the_horizon():

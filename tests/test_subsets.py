@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -269,6 +270,112 @@ class TestPairwiseSum:
                 np.sum(dense)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 subsets._pairwise_sum(np.array(positions), dense[positions], 300)
+
+
+def pairwise_model(positions, terms, start, n):
+    """numpy's pairwise_sum over the n values from start on of a vector that
+    holds the terms (each >= 0) at the positions (an ascending list) and 0.0
+    elsewhere: fewer than 8 values are added one at a time, a leaf of up to
+    128 in 8 lanes and then its leftovers, and a larger block splits at half
+    its groups of 8.  Only blocks that hold an entry are read (a sum of
+    zeros is 0.0, and x + 0.0 is x for x >= 0), so it reads only the
+    entries."""
+    lo, hi = bisect.bisect_left(positions, start), bisect.bisect_left(positions, start + n)
+    if lo == hi:
+        return 0.0
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return (pairwise_model(positions, terms, start, half)
+                + pairwise_model(positions, terms, start + half, n - half))
+    body = start + n - n % 8 if n >= 8 else start  # below 8 there are no lanes
+    lanes = [0.0] * 8
+    for p, t in zip(positions[lo:hi], terms[lo:hi]):
+        if p < body:
+            lanes[(p - start) % 8] += t
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5])
+                                                               + (lanes[6] + lanes[7]))
+    for p, t in zip(positions[lo:hi], terms[lo:hi]):
+        if p >= body:
+            total += t
+    return total
+
+
+def leaf_edges(length, rng, descents):
+    """The positions on both sides of the first and last value of the leaves
+    (blocks of at most 128 values) that random descents of numpy's pairwise
+    recursion over length values reach, and the last 8 positions."""
+    edges = set(range(length - 8, length))
+    for _ in range(descents):
+        start, n = 0, length
+        while n > 128:
+            half = n // 2 - n // 2 % 8
+            start, n = (start, half) if rng.random() < 0.5 else (start + half, n - half)
+        edges |= {start - 1, start, start + n - 1, start + n}
+    return sorted(p for p in edges if 0 <= p < length)
+
+
+def halving_layout(groups, leftovers):
+    """_layout's starts and splits, by halving the groups a depth at a time
+    as numpy's recursion splits them."""
+    depth = 1
+    while 8 * -(-groups >> depth) + leftovers > 128:  # the rightmost block is the largest
+        depth += 1
+    blocks = np.array([groups])
+    for _ in range(depth - 1):  # the left half takes the floor, the right the odd group
+        odd = blocks & 1
+        blocks = np.repeat(blocks >> 1, 2)
+        blocks[1::2] += odd
+    sizes = 8 * blocks
+    sizes[-1] += leftovers
+    starts = np.concatenate(([0], np.cumsum(blocks)))
+    return starts, starts[:-1] + np.where(sizes <= 128, blocks, blocks >> 1)
+
+
+class TestPairwiseModel:
+    """pairwise_model reaches where np.sum cannot: lengths whose dense
+    vector would take hundreds of MB, read at a few dozen entries."""
+
+    @pytest.mark.parametrize("fill", [0.02, 0.3])
+    def test_model_bitwise_equal_to_np_sum(self, fill):
+        rng = np.random.default_rng(round(1000 * fill))
+        for length in TestPairwiseSum.LENGTHS:
+            positions = np.flatnonzero(rng.random(length) < fill)
+            terms = rng.random(positions.size) * rng.choice(TestPairwiseSum.SCALES,
+                                                            positions.size)
+            dense = np.zeros(length)
+            dense[positions] = terms
+            got = pairwise_model(positions.tolist(), terms.tolist(), 0, length)
+            assert got.hex() == float(np.sum(dense)).hex(), (length, fill)
+
+    # Past 2^24 values the blocks at depth D-1 number 2^17 and 2^18, so their
+    # layout reverses more than 16 bits; the lengths leave 0..7 leftovers.
+    @pytest.mark.parametrize("length", [*((1 << 24) + k for k in range(1, 8)),
+                                        (1 << 25) + 5, (1 << 25) - 8 * 12345, 3 << 23])
+    def test_sum_bitwise_equal_to_model_past_np_sum(self, length):
+        rng = np.random.default_rng(length % 1000)
+        positions = leaf_edges(length, rng, 12)[:64]
+        terms = rng.random(len(positions)) * rng.choice(TestPairwiseSum.SCALES, len(positions))
+        got = subsets._pairwise_sum(np.array(positions), terms, length)
+        assert got.hex() == pairwise_model(positions, terms.tolist(), 0, length).hex()
+
+    def test_layout_and_block_lookup_match_halving_and_searchsorted(self):
+        # Every layout of the lengths up to 2^16: a length's layout depends
+        # on its groups of 8 and on whether it has leftovers, not on how many.
+        for groups in range((1 << 13) + 1):
+            for leftovers in (0, 1):
+                starts, splits = subsets._layout(groups, leftovers)
+                expected = halving_layout(groups, leftovers)
+                assert np.array_equal(starts, expected[0]), (groups, leftovers)
+                assert np.array_equal(splits, expected[1]), (groups, leftovers)
+                group = np.arange(groups)
+                assert np.array_equal(subsets._blocks_of(group, starts),
+                                      starts.searchsorted(group, "right") - 1)
+
+    def test_reversal_reverses_the_low_bits(self):
+        for m in (0, 1, 7, 8, 9, 16, 17, 20):
+            i = np.arange(1 << m)
+            expected = sum(((i >> k & 1) << (m - 1 - k) for k in range(m)), np.zeros_like(i))
+            assert np.array_equal(subsets._reversal(m), expected), m
 
 
 class TestWeightedSeries:
