@@ -11,7 +11,8 @@ hands the outputs to formats.write_all, which writes every file or none and
 stdout only once every file is complete, so a call that exits 2 prints
 nothing on stdout and leaves no output file.  Outputs are deterministic:
 JSON documents are read and written by formats (canonical: sorted keys,
-compact separators), CSV rows in ascending order.  Exit codes: 0 on success
+compact separators), and the CSVs rendered there, rows in ascending order;
+this module is argument plumbing only.  Exit codes: 0 on success
 (and on a passing verdict), 1 on a failing verdict, 2 on usage or input
 errors, reported on one error: line.
 """
@@ -21,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import formats, subsets
 from .convolution import approximate, residual_curve
@@ -103,28 +102,13 @@ def cmd_martingale_check(args):
     return EXIT_OK if ok else EXIT_FAIL, [(args.out, formats.canonical(report))]
 
 
-def _diagnostics_csv(diagnostics):
-    """The rows csv.writer writes, BLOCK_ROWS masks at a time: a sigma cell
-    is json.dumps of the element list, quoted once it holds a comma."""
-    columns = (diagnostics.stabilization_index, diagnostics.sup_abs,
-               diagnostics.certificate_margin)
-    texts, block = formats.sigma_texts(", "), formats.BLOCK_ROWS
-    yield "sigma,stabilization_index,sup_abs,certificate_margin\r\n"
-    for start in range(0, len(diagnostics), block):
-        masks = np.arange(start, min(start + block, len(diagnostics)), dtype=np.uint64)
-        rows = zip(texts(masks), *(c[start:start + block].tolist() for c in columns))
-        yield "".join([
-            ('"[%s]",%d,%.17g,%.17g\r\n' if "," in row[0] else "[%s],%d,%.17g,%.17g\r\n")
-            % row for row in rows])
-
-
 def cmd_converge(args):
     seq = FunctionalSequence.from_json_dict(formats.load_json(args.input, sigma=True))
     domain = _sequence_domain(seq, args)
     verdict = strong_convergence_test(seq, domain, args.tol, args.pgrid)
     outputs = [(args.out, formats.canonical(verdict.to_document()))]
     if args.csv:
-        outputs.append((args.csv, _diagnostics_csv(verdict.diagnostics)))
+        outputs.append((args.csv, formats.diagnostics_csv(verdict.diagnostics)))
     return EXIT_OK if verdict.status is ConvergenceStatus.CONVERGED else EXIT_FAIL, outputs
 
 
@@ -134,8 +118,8 @@ def cmd_approx(args):
     approx = approximate(phi, args.level).restricted(domain)
     outputs = [(args.out, formats.canonical(approx.to_document()))]
     if args.csv:
-        curve = enumerate(residual_curve(phi, args.level, args.q, domain))
-        outputs.append((args.csv, ["n,residual\r\n", *("%d,%.17g\r\n" % row for row in curve)]))
+        curve = residual_curve(phi, args.level, args.q, domain)
+        outputs.append((args.csv, formats.residuals_csv(curve)))
     return EXIT_OK, outputs
 
 

@@ -20,9 +20,11 @@ bytes of json.dumps(doc, sort_keys=True, separators=(",", ":"),
 allow_nan=False) followed by a newline.  Small values go through json.dumps;
 rows come BLOCK_ROWS at a time from %-templates over .tolist() columns, so
 no text as long as the table is ever held.  Every check runs before the
-first string is taken.  write_all writes a command's outputs, each a path
-(None for stdout) and its strings, all or none; write is its one-document
-case.
+first string is taken.  The CLI's two CSVs are rendered here too, as
+csv.writer writes them: diagnostics_csv (converge --csv), BLOCK_ROWS
+subsets at a time, and residuals_csv (approx --csv).  write_all writes a
+command's outputs, each a path (None for stdout) and its strings, all or
+none; write is its one-document case.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class Table:
 
     def __iter__(self):
         template = _VALUE_ROW if self.masks is None else _FOCK_ROW
-        texts, opening = sigma_texts(","), "["
+        texts, opening = _sigma_texts(","), "["
         for start in range(0, self.values.size, BLOCK_ROWS):
             values, sigmas = self.values[start:start + BLOCK_ROWS], []
             if self.masks is not None:
@@ -187,7 +189,7 @@ class Table:
         yield "]" if opening == "," else "[]"
 
 
-def sigma_texts(sep: str):
+def _sigma_texts(sep: str):
     """A function from ascending uint64 masks to their elements' texts, each
     joined by sep: the low bits' text from a table of 2^10 built by doubling,
     then the elements of the higher bits appended, once per run of masks
@@ -209,6 +211,26 @@ def sigma_texts(sep: str):
                 out[a] = out[a].removeprefix(sep)  # a mask whose low bits are all 0
         return out
     return texts
+
+
+def diagnostics_csv(diagnostics):
+    """converge --csv's rows, BLOCK_ROWS masks at a time: a sigma cell is
+    json.dumps of the element list, quoted once it holds a comma."""
+    columns = (diagnostics.stabilization_index, diagnostics.sup_abs,
+               diagnostics.certificate_margin)
+    texts = _sigma_texts(", ")
+    yield "sigma,stabilization_index,sup_abs,certificate_margin\r\n"
+    for start in range(0, len(diagnostics), BLOCK_ROWS):
+        masks = np.arange(start, min(start + BLOCK_ROWS, len(diagnostics)), dtype=np.uint64)
+        rows = zip(texts(masks), *(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+        yield "".join([
+            ('"[%s]",%d,%.17g,%.17g\r\n' if "," in row[0] else "[%s],%d,%.17g,%.17g\r\n")
+            % row for row in rows])
+
+
+def residuals_csv(residuals):
+    """approx --csv's rows: each level n from 0 and its residual."""
+    return chain(["n,residual\r\n"], ("%d,%.17g\r\n" % row for row in enumerate(residuals)))
 
 
 def _pieces(value) -> list:

@@ -4,12 +4,16 @@ The sample space at horizon N is {-1,+1}^(N+1) with uniform (dyadic) point
 masses.  Point m (a bitmask) has coordinate k equal to -1 when bit k of m is
 set.  The Walsh functions (products of coordinates over a finite subset) form
 an orthonormal basis, so the chaos expansion of any square-integrable
-functional is computed exactly by a fast Walsh-Hadamard transform.
+functional is computed exactly by a fast Walsh-Hadamard transform.  The
+transform, the chaos expansion, both conditional expectations and the
+inner product return finite values or raise one ValueError.  The
+normal-martingale verifier's report is a document that formats renders,
+as a functional is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -201,11 +205,15 @@ def _low_chaos(f: RandomFunctional, n: int) -> np.ndarray:
 
 def conditional_expectation_by_averaging(f: RandomFunctional, n: int) -> RandomFunctional:
     """Independent oracle for conditional_expectation: directly average over
-    coordinates n+1..N (rows of the reshaped value vector)."""
+    coordinates n+1..N (rows of the reshaped value vector).  Raises
+    ValueError on a non-finite input and when the average overflows."""
     if not 0 <= n <= f.space.horizon:
         raise OutOfHorizonError(f"index {n} outside 0..{f.space.horizon}")
+    if not np.isfinite(f.values).all():
+        raise ValueError("the averaged functional holds a non-finite value")
     grid = f.values.reshape(-1, 2 << n)  # [later coordinates, atom of the first n+1]
-    return RandomFunctional(f.space, np.tile(grid.mean(axis=0), grid.shape[0]))
+    with float_checked("the average over the later coordinates overflows float64"):
+        return RandomFunctional(f.space, np.tile(grid.mean(axis=0), grid.shape[0]))
 
 
 def random_functional(space: SampleSpace, seed: int) -> RandomFunctional:
@@ -241,14 +249,11 @@ class NormalMartingaleReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": [
-                {"name": c.name, "max_deviation": c.max_deviation, "passed": c.passed}
-                for c in self.conditions
-            ],
-        }
+    def to_document(self) -> dict:
+        """The verifier's JSON report, for formats.write."""
+        return {"passed": self.passed, "conditions": [asdict(c) for c in self.conditions]}
+
+    to_json_dict = formats.as_dict
 
 
 def verify_normal_martingale(

@@ -258,7 +258,7 @@ class TestConverge:
                                            margins)
             path = tmp_path / f"diag{max_index}.csv"
             with mock.patch.object(formats, "BLOCK_ROWS", block):
-                formats.write_all([(str(path), cli._diagnostics_csv(diagnostics))])
+                formats.write_all([(str(path), formats.diagnostics_csv(diagnostics))])
             assert path.read_bytes() == self.csv_reference(diagnostics)
 
     def test_diverging_sequence(self, tmp_path, capsys):

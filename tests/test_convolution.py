@@ -469,6 +469,14 @@ wide_parts = (st.floats(min_value=-1.7e308, max_value=1.7e308)
               | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7e308]))
 
 
+def draw_table(data, d: TruncatedDomain):
+    """A sparse (and, at small horizons, full) table over d of wide values,
+    as a dict by mask, and its functional."""
+    table = data.draw(st.dictionaries(st.integers(min_value=0, max_value=d.size - 1),
+                                      st.builds(complex, wide_parts, wide_parts), max_size=48))
+    return table, FockCoefficients({FiniteSubset(m): v for m, v in table.items()}, d.max_index)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_sums_are_the_dense_formula_or_one_value_error(data):
@@ -478,9 +486,7 @@ def test_sums_are_the_dense_formula_or_one_value_error(data):
     # leaves the float range, and nothing warns.
     horizon = data.draw(st.integers(min_value=0, max_value=16))
     d = TruncatedDomain(horizon)
-    table = data.draw(st.dictionaries(st.integers(min_value=0, max_value=d.size - 1),
-                                      st.builds(complex, wide_parts, wide_parts), max_size=48))
-    phi = FockCoefficients({FiniteSubset(m): v for m, v in table.items()}, horizon)
+    table, phi = draw_table(data, d)
     p = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 12.0]))
     q = data.draw(st.floats(min_value=0.5, max_value=8.0, exclude_min=True))
     levels = range(horizon + 1)
@@ -498,6 +504,41 @@ def test_sums_are_the_dense_formula_or_one_value_error(data):
                     call()
             else:
                 assert [x.hex() for x in call()] == [x.hex() for x in expected]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_growth_and_pairing_are_finite_or_one_value_error(data):
+    # pairing, fit_growth, verify_certificate and dual_norm_bound on the
+    # tables above, the last two with a drawn and the fitted certificate:
+    # each returns finite values or raises one ValueError, and nothing warns.
+    d = TruncatedDomain(data.draw(st.integers(min_value=0, max_value=16)))
+    (_, phi), (_, xi) = draw_table(data, d), draw_table(data, d)
+    orders = st.sampled_from([0.0, 0.5, 1.0, 2.0, 12.0])
+    grid = sorted(data.draw(st.lists(orders, min_size=1, max_size=3, unique=True)))
+    certs = [GrowthCertificate(data.draw(st.floats(min_value=0.0, max_value=1.7e308)),
+                               data.draw(orders), d)]
+    q = data.draw(st.floats(min_value=0.0, max_value=16.0) | st.sampled_from([1e308]))
+
+    def growth():
+        curve, cert = fit_growth(phi, d, grid)
+        certs.extend([cert] if cert else [])
+        return list(curve.values()) + ([cert.scale] if cert else [])
+
+    def finite_or_value_error(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except ValueError:
+                return
+        assert all(cmath.isfinite(v) for v in values)
+
+    finite_or_value_error(lambda: [pairing(phi, xi, d)])
+    finite_or_value_error(growth)
+    for cert in certs:
+        finite_or_value_error(lambda: verify_certificate(phi, cert, d)[:1])  # the verdict
+        finite_or_value_error(lambda: [dual_norm_bound(cert, q)])
 
 
 class ScalarPath:

@@ -44,3 +44,22 @@ def test_api_passes_meet_their_oracles(monkeypatch, tmp_path):
         workload = cls(1, tmp_path / name)
         workload.check_lib(workload.lib_pass())
     assert bench_files() == before
+
+
+def test_the_tracer_patches_the_cli_module(monkeypatch, tmp_path):
+    # bench/tracing.traced replaces martfock.cli's json and open by name
+    # (bench/run.py --trace 1); one workload's CLI call, run in process under
+    # it, must exit 0 and leave the module as it found it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(ROOT / "src"), str(ROOT / "bench"), *sys.path])
+    import tracing
+    import workloads
+    from martfock import cli
+
+    before = bench_files()
+    workload = workloads.WORKLOADS["approx-sparse-wide"](1, tmp_path)
+    with tracing.traced(tracing.Tracer("time")):
+        assert cli.main(list(workload.calls[0].argv)) == 0
+    workload.check_call(0)
+    assert cli.json is json
+    assert bench_files() == before

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martfock import cli, formats, functionals, sequences, subsets
+from martfock import formats, functionals, sequences, subsets
 from martfock.convolution import (
     all_ones,
     approximate,
@@ -432,7 +432,7 @@ def test_writing_the_diagnostics_csv_holds_a_tenth_of_it(tmp_path):
     diagnostics = SigmaDiagnostics(rng.integers(0, 12, DOMAIN.size), rng.random(DOMAIN.size),
                                    rng.standard_normal(DOMAIN.size))
     path = tmp_path / "diag.csv"
-    rows = cli._diagnostics_csv(diagnostics)
+    rows = formats.diagnostics_csv(diagnostics)
     peak = traced_peak(lambda: formats.write_all([(str(path), rows)]))
     assert peak <= path.stat().st_size / 10
 

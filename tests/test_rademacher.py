@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from martfock import formats
 from martfock.functionals import FockCoefficients, float_checked, sobolev_norm
 from martfock.rademacher import (
+    NormalMartingaleReport,
     OutOfHorizonError,
     RandomFunctional,
     SampleSpace,
@@ -161,7 +164,8 @@ class TestFwht:
         sp = SampleSpace(2)
         for bad in (np.inf, np.nan):
             f = RandomFunctional(sp, np.where(np.arange(sp.size) == 3, bad, 1.0))
-            for call in (lambda: chaos_expand(f), lambda: conditional_expectation(f, 0)):
+            for call in (lambda: chaos_expand(f), lambda: conditional_expectation(f, 0),
+                         lambda: conditional_expectation_by_averaging(f, 0)):
                 with pytest.raises(ValueError, match="non-finite"):
                     call()
             with pytest.raises(ValueError, match="is not finite"):  # refused as it enters
@@ -169,6 +173,46 @@ class TestFwht:
             c = FockCoefficients._from_mask_rule(lambda m: np.where(m == 2, bad, 0.0) + 0j, 1)
             with pytest.raises(ValueError, match="non-finite"):
                 synthesize(c, sp)
+        # finite values whose mean's sum (and butterflies) leave the float range
+        f = RandomFunctional(sp, [1e308 + 1e308j] * sp.size)
+        for call in (conditional_expectation, conditional_expectation_by_averaging):
+            with pytest.raises(ValueError, match="overflows float64"):
+                call(f, 0)
+
+
+# Parts across the float range, subnormals and both zeros; in half of the
+# examples below NaN and both infinities too.
+wide_parts = (st.floats(min_value=-1.7e308, max_value=1.7e308)
+              | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7e308]))
+non_finite_parts = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cube_paths_are_finite_or_one_value_error(data):
+    # fwht, chaos_expand, both conditional expectations, inner_product and
+    # l2_norm: each returns finite values or raises one ValueError, and
+    # nothing warns.  The parts come from a pool of up to 8, at seeded
+    # random positions.
+    sp = SampleSpace(data.draw(st.integers(min_value=0, max_value=6)))
+    parts = wide_parts | non_finite_parts if data.draw(st.booleans()) else wide_parts
+    pool = data.draw(st.lists(parts, min_size=1, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    f, g = (RandomFunctional(sp, rng.choice(pool, 2 * sp.size).view(np.complex128))
+            for _ in range(2))
+    n = data.draw(st.integers(min_value=0, max_value=sp.horizon))
+    calls = [lambda: fwht(f.values), lambda: chaos_expand(f).values_on(sp.domain()),
+             lambda: conditional_expectation(f, n).values,
+             lambda: conditional_expectation_by_averaging(f, n).values,
+             lambda: [inner_product(f, g)], lambda: [l2_norm(f)]]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except ValueError:
+                continue
+        assert np.isfinite(values).all()
 
 
 def radix2_loop(values):
@@ -434,6 +478,14 @@ class TestNormalMartingaleVerifier:
         data = verify_normal_martingale(SampleSpace(2)).to_json_dict()
         assert data["passed"] is True
         assert len(data["conditions"]) == 2
+        # the canonical bytes read back: each condition's fields
+        sp = SampleSpace(3)
+        report = verify_normal_martingale(sp, biased_probabilities(sp, 0.3), tol=1e-3)
+        assert report.to_json_dict() == {
+            "passed": False,
+            "conditions": [{"name": c.name, "max_deviation": c.max_deviation,
+                            "passed": c.passed} for c in report.conditions]}
+        assert NormalMartingaleReport.to_json_dict is formats.as_dict
 
     @pytest.mark.parametrize("minus_prob", [None, 0.25, 0.75])
     def test_deviations_match_the_stacked_walk_bit_for_bit(self, minus_prob):
