@@ -6,16 +6,21 @@ stores that function as two parallel arrays sorted by bitmask: uint64 masks
 and complex128 values.  Tables are sparse: an absent mask means a coefficient
 of exactly zero.  Table operations (sums, scalar multiples, restriction,
 convolution, the dense vector over a domain, JSON output) are numpy
-operations on the two arrays; FiniteSubset objects are made only where the
-API hands out or takes in a subset (evaluate, table_items, the table=
-argument, from_rule).  A functional may instead be backed by a total rule: a
-function from an array of uint64 masks to the complex128 coefficients there.
-Sums, scalar multiples, convolutions and approximants of a rule are rules
-that call their operands' rules on the same masks.  A scalar rule sigma ->
-complex (from_rule) is wrapped once into such a function, which memoises
-the scalar values by mask; no other functional holds state.  A rule has no
-table: it is read only over a domain (values_on, restricted), and
-table_items and the JSON form refuse it.
+operations on the two arrays.  Every table they build, and every table built
+from a dense vector, comes from one factory, FockCoefficients._from_arrays,
+which drops the zero values and otherwise holds the arrays it is given: a
+restriction, an approximant or a scalar multiple may share its operand's
+arrays.  No code writes a table's arrays once they are held, so sharing is
+safe.  FiniteSubset objects are made only where the API hands out or takes
+in a subset (evaluate, table_items, the table= argument, from_rule).  A
+functional may instead be backed by a total rule: a function from an array
+of uint64 masks to the complex128 coefficients there.  Sums, scalar
+multiples, convolutions and approximants of a rule are rules that call their
+operands' rules on the same masks.  A scalar rule sigma -> complex
+(from_rule) is wrapped once into such a function, which memoises the scalar
+values by mask; no other functional holds state.  A rule has no table: it is
+read only over a domain (values_on, restricted), and table_items and the
+JSON form refuse it.
 
 The fock-coefficients/v1 document is read and written through formats.
 
@@ -96,7 +101,9 @@ class FockCoefficients:
     uint64 masks to their complex128 coefficients in one call; a
     rule-backed functional holds empty arrays and has no table.  from_rule
     takes a scalar rule sigma -> complex, which is adapted once.  _hold sets
-    the state of every instance; _entries_on is the one reader of either
+    the state of every instance, holding its arrays as given;
+    _from_arrays, the one factory of tables built from arrays, drops zeros
+    and copies nothing else; _entries_on is the one reader of either
     backing over a domain.  Every coefficient is finite: _hold refuses a
     table value, and the scalar-rule adapter a rule value, that is NaN or
     infinite (ValueError naming the subset).
@@ -122,9 +129,10 @@ class FockCoefficients:
     def _hold(self, masks: np.ndarray, values: np.ndarray, rule: Optional[Callable],
               support_bound: Optional[int]) -> "FockCoefficients":
         """Hold strictly ascending masks and their values, or a mask-array
-        rule and empty arrays, and return self.  A table's missing support
-        bound is inferred from its largest mask; a given bound is checked
-        against it.  A value that is not finite raises ValueError."""
+        rule and empty arrays, and return self.  The arrays are held as
+        given, not copied, and never written after.  A table's missing
+        support bound is inferred from its largest mask; a given bound is
+        checked against it.  A value that is not finite raises ValueError."""
         if not np.isfinite(values.view(np.float64)).all():  # real and imaginary parts
             at = np.flatnonzero(~np.isfinite(values))[0]
             raise ValueError(f"coefficient {values[at]} at {FiniteSubset(int(masks[at]))!r} "
@@ -143,9 +151,14 @@ class FockCoefficients:
     def _from_arrays(cls, masks: np.ndarray, values: np.ndarray,
                      support_bound: Optional[int]) -> "FockCoefficients":
         """Table-backed functional from strictly ascending masks and their
-        values, with the zero values dropped."""
-        keep = values != 0
-        return cls.__new__(cls)._hold(masks[keep], values[keep], None, support_bound)
+        values, with the zero values dropped: the one factory of tables
+        built from arrays.  Only a drop copies; where no value is zero the
+        arrays are held as given, so the table shares them (views included)
+        and keeps them alive."""
+        if (values == 0).any():  # its bools are freed before _hold's finite check
+            keep = values != 0
+            masks, values = masks[keep], values[keep]
+        return cls.__new__(cls)._hold(masks, values, None, support_bound)
 
     @classmethod
     def _from_mask_rule(cls, rule: Callable, support_bound: Optional[int]) -> "FockCoefficients":
@@ -173,11 +186,10 @@ class FockCoefficients:
     @classmethod
     def from_vector(cls, values: np.ndarray, support_bound: int) -> "FockCoefficients":
         """Table-backed functional from a dense coefficient vector indexed by
-        bitmask; zero entries are dropped."""
-        masks = np.flatnonzero(values)  # nonnegative: viewed as uint64
-        return cls.__new__(cls)._hold(masks.view(np.uint64),
-                                      values[masks].astype(np.complex128, copy=False),
-                                      None, support_bound)
+        bitmask; zero entries are dropped (_from_arrays).  The vector is
+        copied first, so the table never aliases the caller's vector."""
+        return cls._from_arrays(np.arange(values.size, dtype=np.uint64),
+                                np.array(values, dtype=np.complex128), support_bound)
 
     def evaluate(self, sigma: FiniteSubset) -> complex:
         """Coefficient at sigma: _at of its one mask (a table's value found by
@@ -232,7 +244,7 @@ class FockCoefficients:
 
     def restricted(self, domain: TruncatedDomain) -> "FockCoefficients":
         """Table-backed restriction to the domain: the entries of _entries_on,
-        zeros dropped."""
+        zeros dropped (so a table without zeros shares its prefix arrays)."""
         return FockCoefficients._from_arrays(*self._entries_on(domain), domain.max_index)
 
     def __add__(self, other: "FockCoefficients") -> "FockCoefficients":

@@ -41,11 +41,13 @@ class SampleSpace:
         return 1 << (self.horizon + 1)
 
     def signs(self, k: int) -> np.ndarray:
-        """Coordinate k over all points: +1 / -1 per the bitmask convention."""
+        """Coordinate k over all points: +1 / -1 per the bitmask convention.
+        Built by coordinate_products, as walsh is, with the factors (1, -1)
+        at k and (1, 1) elsewhere."""
         if not 0 <= k <= self.horizon:
             raise OutOfHorizonError(f"coordinate {k} outside 0..{self.horizon}")
-        m = np.arange(self.size)
-        return (1 - 2 * ((m >> k) & 1)).astype(np.float64)
+        return coordinate_products([(1.0, -1.0 if j == k else 1.0)
+                                    for j in range(self.horizon + 1)])
 
     def domain(self) -> TruncatedDomain:
         return TruncatedDomain(self.horizon)

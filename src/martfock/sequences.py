@@ -207,13 +207,11 @@ def _finite_abs(n: int, row: np.ndarray) -> np.ndarray:
 def classical_to_sequence(f: RandomFunctional) -> FunctionalSequence:
     """The coefficient sequence of the classical martingale n -> E[f | first
     n+1 coordinates]: term n is the chaos table of f truncated to subsets of
-    {0,..,n}.  Every term holds views of one table's prefix arrays."""
+    {0,..,n}, its restriction.  The table holds no zero, so every term
+    holds views of its prefix arrays (see FockCoefficients._from_arrays)."""
     table = chaos_expand(f)
-    return FunctionalSequence([
-        FockCoefficients.__new__(FockCoefficients)._hold(
-            *table._entries_on(TruncatedDomain(n)), None, n)
-        for n in range(f.space.horizon + 1)
-    ])
+    return FunctionalSequence([table.restricted(TruncatedDomain(n))
+                               for n in range(f.space.horizon + 1)])
 
 
 def strong_convergence_test(

@@ -17,7 +17,8 @@ import pytest
 
 from martfock import cli, formats
 from martfock.cli import main
-from martfock.convolution import all_ones, approximation_sequence, indicator_functional
+from martfock.convolution import (all_ones, approximation_residual, approximation_sequence,
+                                  indicator_functional, residual_curve)
 from martfock.functionals import FockCoefficients
 from martfock.rademacher import RandomFunctional, SampleSpace, constant, random_functional
 from martfock.sequences import FunctionalSequence, SigmaDiagnostics, strong_convergence_test
@@ -507,6 +508,25 @@ class TestApprox:
         assert done.returncode == 2 and not csv_path.exists()
         assert done.stderr == ("error: a residual term or sum at order q=1.0 overflows "
                                "the float range\n")
+
+    def test_an_infinite_magnitude_in_a_dense_sum_is_one_error(self, tmp_path, capsys):
+        # |1.7e308 (1+i)| passes the float range in np.abs, which raises no
+        # float flag; the dense sums refuse the infinite sum themselves.
+        phi = FockCoefficients({FiniteSubset.from_elements([1]): 1.7e308 + 1.7e308j,
+                                FiniteSubset.from_elements([0, 1]): 1.0}, support_bound=1)
+        domain = TruncatedDomain(1)
+        src, csv_path = tmp_path / "big.json", tmp_path / "r.csv"
+        write_json(src, phi.to_json_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                approximation_residual(phi, 0, 1.0, domain)
+            with pytest.raises(ValueError):
+                residual_curve(phi, 1, 1.0, domain)
+            assert main(["approx", "--in", str(src), "--n", "0", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv_path.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("q, value", [("0.5", 2.0), ("nan", 2.0), ("1", 1e200)])
     def test_failing_residuals_write_nothing(self, q, value, tmp_path, capsys):

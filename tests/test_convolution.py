@@ -30,7 +30,8 @@ from martfock.functionals import (
     sobolev_norm,
     verify_certificate,
 )
-from martfock.sequences import is_generalized_martingale
+from martfock.sequences import (ConvergenceStatus, FunctionalSequence,
+                                is_generalized_martingale, strong_convergence_test)
 from martfock.subsets import (
     DomainTooLargeError,
     FiniteSubset,
@@ -506,6 +507,18 @@ def test_sums_are_the_dense_formula_or_one_value_error(data):
                 assert [x.hex() for x in call()] == [x.hex() for x in expected]
 
 
+def finite_or_value_error(call):
+    """call() returns finite values or raises one ValueError, and nothing
+    warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = call()
+        except ValueError:
+            return
+    assert np.isfinite(np.asarray(values, dtype=complex)).all()
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_growth_and_pairing_are_finite_or_one_value_error(data):
@@ -525,20 +538,56 @@ def test_growth_and_pairing_are_finite_or_one_value_error(data):
         certs.extend([cert] if cert else [])
         return list(curve.values()) + ([cert.scale] if cert else [])
 
-    def finite_or_value_error(call):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                values = call()
-            except ValueError:
-                return
-        assert all(cmath.isfinite(v) for v in values)
-
     finite_or_value_error(lambda: [pairing(phi, xi, d)])
     finite_or_value_error(growth)
     for cert in certs:
         finite_or_value_error(lambda: verify_certificate(phi, cert, d)[:1])  # the verdict
         finite_or_value_error(lambda: [dual_norm_bound(cert, q)])
+
+
+def draw_operand(data, d: TruncatedDomain) -> FockCoefficients:
+    """A table of draw_table, or one of three rules: all_ones, a wide scalar
+    times it, or a scalar rule cycling through wide values."""
+    kind = data.draw(st.sampled_from(["table", "ones", "scaled", "scalar"]))
+    wide = st.builds(complex, wide_parts, wide_parts)
+    if kind == "table":
+        return draw_table(data, d)[1]
+    if kind == "ones":
+        return all_ones()
+    if kind == "scaled":
+        return data.draw(wide) * all_ones()
+    values = data.draw(st.lists(wide, min_size=1, max_size=4))
+    return FockCoefficients.from_rule(lambda sigma: values[sigma.mask % len(values)])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_algebra_and_verdicts_are_finite_or_one_value_error(data):
+    # +, -, scalar *, convolve and approximate (and its restriction) on
+    # tables and rules, read over the domain, and strong_convergence_test
+    # over drawn terms: each returns finite values or raises one
+    # ValueError, and nothing warns.
+    d = TruncatedDomain(data.draw(st.integers(min_value=0, max_value=8)))
+    a, b = draw_operand(data, d), draw_operand(data, d)
+    scalar = complex(data.draw(wide_parts), data.draw(wide_parts))
+    n = data.draw(st.integers(min_value=0, max_value=d.max_index + 1))
+    for build in (lambda: a + b, lambda: a - b, lambda: scalar * a, lambda: convolve(a, b),
+                  lambda: approximate(a, n), lambda: approximate(a, n).restricted(d)):
+        finite_or_value_error(lambda: build().values_on(d))
+
+    terms = [draw_operand(data, d) for _ in range(data.draw(st.integers(3, 6)))]
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1.0, 1e308]))
+
+    def verdict():
+        v = strong_convergence_test(FunctionalSequence(terms), d, tol)
+        margins = v.diagnostics.certificate_margin
+        if v.status is ConvergenceStatus.CONVERGED:
+            assert np.isfinite(margins).all()
+            return [*v.limit.values_on(d), v.uniform_certificate.scale, *v.diagnostics.sup_abs]
+        assert np.isnan(margins).all() and v.limit is None
+        return v.diagnostics.sup_abs
+
+    finite_or_value_error(verdict)
 
 
 class ScalarPath:

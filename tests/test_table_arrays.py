@@ -176,6 +176,25 @@ def test_restricted_equals_the_dense_route(table, max_index):
     assert got.support_bound == want.support_bound
 
 
+def test_tables_from_arrays_copy_only_what_they_drop():
+    # from_vector copies the caller's vector; a restriction or a scalar
+    # multiple without a zero to drop holds its operand's arrays as given.
+    vector = np.arange(8, dtype=np.complex128)
+    phi = FockCoefficients.from_vector(vector, 2)
+    vector[:] = 9.0
+    assert phi._masks.tolist() == list(range(1, 8))
+    assert phi._values.tolist() == list(range(1, 8))
+    cut = phi.restricted(TruncatedDomain(1))
+    assert np.shares_memory(cut._masks, phi._masks)
+    assert np.shares_memory(cut._values, phi._values)
+    assert np.shares_memory((3.0 * phi)._masks, phi._masks)
+    stored = FockCoefficients({FiniteSubset(m): v for m, v in [(0, 1.0), (1, 0.0), (2, 2j)]})
+    cut = stored.restricted(TruncatedDomain(1))
+    assert cut._masks.tolist() == [0, 2] and cut._values.tolist() == [1, 2j]
+    assert not np.shares_memory(cut._masks, stored._masks)
+    assert not np.shares_memory(cut._values, stored._values)
+
+
 def test_restricted_to_the_widest_domain_keeps_every_nonzero(monkeypatch):
     # A table's restriction allocates nothing domain-sized, so it runs
     # under a 1-byte budget.
