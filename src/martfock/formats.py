@@ -19,12 +19,14 @@ a Table.  canonical gives its canonical form as an iterator of strings: the
 bytes of json.dumps(doc, sort_keys=True, separators=(",", ":"),
 allow_nan=False) followed by a newline.  Small values go through json.dumps;
 rows come BLOCK_ROWS at a time from %-templates over .tolist() columns, so
-no text as long as the table is ever held.  Every check runs before the
-first string is taken.  The CLI's two CSVs are rendered here too, as
-csv.writer writes them: diagnostics_csv (converge --csv), BLOCK_ROWS
-subsets at a time, and residuals_csv (approx --csv).  write_all writes a
-command's outputs, each a path (None for stdout) and its strings, all or
-none; write is its one-document case.
+no text as long as the table is ever held.  A Table writes every row it is
+handed, in order: the caller hands it ascending masks and the values to be
+written (functionals leaves out zero coefficients, not this module).  Every
+check runs before the first string is taken.  The CLI's two CSVs are
+rendered here too, as csv.writer writes them: diagnostics_csv (converge
+--csv), BLOCK_ROWS subsets at a time, and residuals_csv (approx --csv).
+write_all writes a command's outputs, each a path (None for stdout) and its
+strings, all or none; write is its one-document case.
 """
 
 from __future__ import annotations
@@ -164,29 +166,25 @@ def json_table(rows, name: str, sigma: bool) -> "Table":
 
 class Table:
     """A table of a document as columns: complex values and, for rows with a
-    sigma, their uint64 masks (ascending, to be written).  Iterated, it is
-    the rows' text a block of rows at a time: {"im", "re", "sigma"} rows of
-    the nonzero values when there are masks, else {"im", "re"} rows of every
-    value."""
+    sigma, their uint64 masks.  Iterated, it is the rows' text a block of
+    rows at a time: one row for every value it is handed, in order,
+    {"im", "re", "sigma"} rows when there are masks, else {"im", "re"} rows.
+    It tests no value: a writer hands it ascending masks and the values to
+    be written (FockCoefficients.to_document leaves out the zeros)."""
 
     def __init__(self, values: np.ndarray, masks: np.ndarray | None = None):
         self.values, self.masks = values, masks
 
     def __iter__(self):
         template = _VALUE_ROW if self.masks is None else _FOCK_ROW
-        texts, opening = _sigma_texts(","), "["
+        texts = _sigma_texts(",")
+        yield "["
         for start in range(0, self.values.size, BLOCK_ROWS):
-            values, sigmas = self.values[start:start + BLOCK_ROWS], []
-            if self.masks is not None:
-                keep = np.flatnonzero(values)
-                values = values[keep]
-                sigmas = [texts(self.masks[start:start + BLOCK_ROWS][keep])]
+            values = self.values[start:start + BLOCK_ROWS]
+            sigmas = [] if self.masks is None else [texts(self.masks[start:start + BLOCK_ROWS])]
             rows = zip(values.imag.tolist(), values.real.tolist(), *sigmas)
-            text = ",".join(map(template.__mod__, rows))
-            if text:
-                yield opening + text
-                opening = ","
-        yield "]" if opening == "," else "[]"
+            yield "," * (start > 0) + ",".join(map(template.__mod__, rows))
+        yield "]"
 
 
 def _sigma_texts(sep: str):

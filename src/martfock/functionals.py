@@ -11,7 +11,9 @@ from a dense vector, comes from one factory, FockCoefficients._from_arrays,
 which drops the zero values and otherwise holds the arrays it is given: a
 restriction, an approximant or a scalar multiple may share its operand's
 arrays.  No code writes a table's arrays once they are held, so sharing is
-safe.  FiniteSubset objects are made only where the API hands out or takes
+safe.  Zero values are left out in one place, _nonzero, which the factory
+and the JSON output (to_document) share: formats writes every row it is
+handed.  FiniteSubset objects are made only where the API hands out or takes
 in a subset (evaluate, table_items, the table= argument, from_rule).  A
 functional may instead be backed by a total rule: a function from an array
 of uint64 masks to the complex128 coefficients there.  Sums, scalar
@@ -70,6 +72,17 @@ def _scalar_adapter(rule: Callable[[FiniteSubset], complex]) -> Callable[[np.nda
             raise ValueError(f"rule value {z} at {FiniteSubset(mask)!r} is not finite")
         return z
     return lambda masks: np.fromiter(map(value, masks.tolist()), np.complex128, masks.size)
+
+
+def _nonzero(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """masks and values without the entries whose value is zero: the one
+    place zero coefficients are left out.  Only a drop copies; with no zero
+    value the arrays come back as given.  Its bools are freed once it
+    returns, before the caller's next allocation."""
+    if (values == 0).any():
+        keep = values != 0
+        return masks[keep], values[keep]
+    return masks, values
 
 
 @float_checked("a coefficient product overflows the float range")
@@ -151,14 +164,11 @@ class FockCoefficients:
     def _from_arrays(cls, masks: np.ndarray, values: np.ndarray,
                      support_bound: Optional[int]) -> "FockCoefficients":
         """Table-backed functional from strictly ascending masks and their
-        values, with the zero values dropped: the one factory of tables
-        built from arrays.  Only a drop copies; where no value is zero the
-        arrays are held as given, so the table shares them (views included)
-        and keeps them alive."""
-        if (values == 0).any():  # its bools are freed before _hold's finite check
-            keep = values != 0
-            masks, values = masks[keep], values[keep]
-        return cls.__new__(cls)._hold(masks, values, None, support_bound)
+        values, with the zero values dropped (_nonzero): the one factory of
+        tables built from arrays.  Where no value is zero the arrays are held
+        as given, so the table shares them (views included) and keeps them
+        alive."""
+        return cls.__new__(cls)._hold(*_nonzero(masks, values), None, support_bound)
 
     @classmethod
     def _from_mask_rule(cls, rule: Callable, support_bound: Optional[int]) -> "FockCoefficients":
@@ -282,8 +292,10 @@ class FockCoefficients:
 
     def to_document(self) -> dict:
         """The fock-coefficients/v1 document, for formats.write: the nonzero
-        coefficients in ascending mask order (a rule has none; see _table)."""
-        masks, values = self._table()
+        coefficients in ascending mask order (a rule has none; see _table).
+        Its Table holds the table's own arrays unless a stored zero is
+        dropped (_nonzero), since formats writes every row it is handed."""
+        masks, values = _nonzero(*self._table())
         return {"format": formats.FOCK_FORMAT, "support_bound": self.support_bound,
                 "coefficients": formats.Table(values, masks)}
 

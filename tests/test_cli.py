@@ -542,6 +542,22 @@ class TestApprox:
             assert captured.out == "" and captured.err.count("\n") == 1
             assert not out.exists() and not csv_path.exists()
 
+    def test_explicit_zero_rows_change_no_byte(self, tmp_path):
+        rows = [([0], 1.0), ([1, 3], -2.0), ([2], 0.5)]
+        zeros = [([], 0.0), ([0, 1], 0.0), ([3], -0.0)]
+        written = []
+        for name, table in (("plain", rows), ("zeros", zeros[:1] + rows + zeros[1:])):
+            src, out, csv_path = (tmp_path / f"{name}{suffix}" for suffix in
+                                  (".json", ".out.json", ".csv"))
+            write_json(src, {"format": "fock-coefficients/v1", "support_bound": 3,
+                             "coefficients": [{"sigma": s, "re": v, "im": 0.0}
+                                              for s, v in table]})
+            assert main(["approx", "--in", str(src), "--n", "3", "--q", "1",
+                         "--out", str(out), "--csv", str(csv_path)]) == 0
+            written.append((out.read_bytes(), csv_path.read_bytes()))
+        assert written[0] == written[1]
+        assert len(json.loads(written[0][0])["coefficients"]) == len(rows)
+
     def test_single_coefficient_residual_hits_zero(self, tmp_path):
         phi = FockCoefficients({FiniteSubset.from_elements([3]): 1.0})
         src = tmp_path / "phi.json"

@@ -126,6 +126,20 @@ def test_verdict_limit_is_streamed_inside_the_report(table, scale, order, tail_s
         assert written(verdict.to_document()) == canonical(want)
 
 
+@pytest.mark.parametrize("block", [1, 3, formats.BLOCK_ROWS])
+def test_a_table_writes_every_row_it_is_handed(block):
+    # zeros included, in the order handed: functionals leaves zeros out
+    masks = np.array([0, 1, 3, 5], dtype=np.uint64)
+    values = np.array([1.0, 0.0, -0.0, 2j])
+    rows = [{"sigma": FiniteSubset(m).to_json(), "re": v.real, "im": v.imag}
+            for m, v in zip(masks.tolist(), values.tolist())]
+    with mock.patch.object(formats, "BLOCK_ROWS", block):
+        for table, want in [(formats.Table(values, masks), rows),
+                            (formats.Table(values), [{"re": r["re"], "im": r["im"]} for r in rows]),
+                            (formats.Table(values[:0], masks[:0]), [])]:
+            assert "".join(table) == canonical(want)[:-1]
+
+
 def held_document(table: dict) -> tuple[dict, dict]:
     """The fock-coefficients/v1 document of a table as FockCoefficients
     would hold it (its constructor refuses a value that is not finite), and
@@ -135,7 +149,7 @@ def held_document(table: dict) -> tuple[dict, dict]:
     doc = {"format": "fock-coefficients/v1", "support_bound": 63,
            "coefficients": formats.Table(values, masks)}
     rows = [{"sigma": FiniteSubset(m).to_json(), "re": v.real, "im": v.imag}
-            for m, v in zip(masks.tolist(), values.tolist()) if v != 0]
+            for m, v in zip(masks.tolist(), values.tolist())]
     return doc, {**doc, "coefficients": rows}
 
 

@@ -482,6 +482,9 @@ class TestMartingaleLimit:
     def test_needs_two_terms(self):
         with pytest.raises(InsufficientLengthError):
             martingale_limit(indicator_sequence(0), TruncatedDomain(3))
+        # the empty domain needs only term 0, and one term is still refused
+        with pytest.raises(InsufficientLengthError, match="need at least two terms"):
+            martingale_limit(indicator_sequence(0), TruncatedDomain(0))
 
     def test_limit_consistent_with_every_term(self):
         phi = FockCoefficients({

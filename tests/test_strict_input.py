@@ -1,16 +1,22 @@
 """Malformed input files and subset arguments end in exit 2 with one
 `error:` line on stderr: never a traceback, never exit 1 (which means a
-failing verdict), never output."""
+failing verdict), never output.  The readers behind the commands refuse
+the same files with the same messages."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from martfock.cli import main
+from martfock.functionals import FockCoefficients
+from martfock.rademacher import RandomFunctional, SampleSpace
+from martfock.sequences import FunctionalSequence
 from martfock.subsets import FiniteSubset
 
 FOCK = '"format":"fock-coefficients/v1"'
@@ -54,6 +60,24 @@ MALFORMED_FILES = {
     "samples-re-nan": ("expand", samples(values=f'[{{"re":NaN,"im":0}},{ROW}]')),
     "samples-re-infinity": ("expand", samples(values=f'[{{"re":Infinity,"im":0}},{ROW}]')),
     "samples-re-bool": ("expand", samples(values=f'[{{"re":false,"im":0}},{ROW}]')),
+    "fock-format-v2": ("synthesize", fock().replace("/v1", "/v2")),
+    "samples-im-minus-infinity": ("expand", samples(values=f'[{ROW},{{"re":0,"im":-Infinity}}]')),
+    "samples-too-few-values": ("expand", samples(horizon="1")),
+    "samples-too-many-values": ("expand", samples(values=f"[{','.join([ROW] * 8)}]",
+                                                  horizon="1")),
+    "sequence-no-terms": ("martingale-check", f'{{{SEQ},"terms":[]}}'),
+}
+
+# The error lines of these cases are pinned: without the check that gives
+# each, its command exits 0 or fails later with another message.
+MESSAGES = {
+    "fock-format-v2": "unexpected format field: 'fock-coefficients/v2'",
+    "samples-re-nan": "re and im must be finite",
+    "samples-re-infinity": "re and im must be finite",
+    "samples-im-minus-infinity": "re and im must be finite",
+    "samples-too-few-values": "expected 4 values, got shape (2,)",
+    "samples-too-many-values": "expected 4 values, got shape (8,)",
+    "sequence-no-terms": "a functional sequence must have at least one term",
 }
 
 MALFORMED_SUBSETS = ['"abc"', "[1.5]", "null", "[true]", "{}", "[-1]", "[64]", "[2,2]"]
@@ -65,6 +89,7 @@ def assert_input_error(code, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
@@ -73,7 +98,34 @@ def test_malformed_file_exits_2(case, tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text(text)
     argv = [command, "--in", str(src)] + (["--n", "1"] if command == "approx" else [])
-    assert_input_error(main(argv), capsys)
+    err = assert_input_error(main(argv), capsys)
+    if case in MESSAGES:
+        assert err == f"error: {MESSAGES[case]}\n"
+
+
+@pytest.mark.parametrize("reader, text", [
+    (FockCoefficients, fock()), (RandomFunctional, samples()),
+    (FunctionalSequence, f'{{{SEQ},"terms":[{fock()}]}}')], ids=["fock", "samples", "sequence"])
+def test_readers_refuse_another_format(reader, text):
+    data = json.loads(text)
+    reader.from_json_dict(data)  # valid as given
+    fmt = data["format"].replace("/v1", "/v2")
+    with pytest.raises(ValueError, match=re.escape(f"unexpected format field: '{fmt}'")):
+        reader.from_json_dict({**data, "format": fmt})
+
+
+@pytest.mark.parametrize("special", ["NaN", "Infinity", "-Infinity"])
+def test_readers_refuse_non_finite_numbers(special):
+    for reader, text in [(RandomFunctional, samples(values=f'[{ROW},{{"re":1,"im":{special}}}]')),
+                         (FockCoefficients, fock(f'[{{"sigma":[0],"re":1,"im":{special}}}]'))]:
+        with pytest.raises(ValueError, match="re and im must be finite"):
+            reader.from_json_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("size", [2, 8])
+def test_a_sample_function_holds_one_value_per_point(size):
+    with pytest.raises(ValueError, match=re.escape(f"expected 4 values, got shape ({size},)")):
+        RandomFunctional(SampleSpace(1), np.ones(size))
 
 
 @pytest.mark.parametrize("text", MALFORMED_SUBSETS)

@@ -195,6 +195,18 @@ def test_tables_from_arrays_copy_only_what_they_drop():
     assert not np.shares_memory(cut._values, stored._values)
 
 
+def test_documents_hand_the_writer_only_nonzero_entries():
+    # formats writes every row it is handed: to_document leaves out stored
+    # zeros, and hands over a zero-free table's own arrays.
+    phi = FockCoefficients.from_vector(np.arange(1, 9, dtype=np.complex128), 2)
+    table = phi.to_document()["coefficients"]
+    assert table.masks is phi._masks and table.values is phi._values
+    stored = FockCoefficients({FiniteSubset(m): v for m, v in [(0, 1.0), (1, 0.0), (2, 2j)]})
+    table = stored.to_document()["coefficients"]
+    assert table.masks.tolist() == [0, 2] and table.values.tolist() == [1, 2j]
+    assert stored._masks.tolist() == [0, 1, 2]  # the stored zero stays
+
+
 def test_restricted_to_the_widest_domain_keeps_every_nonzero(monkeypatch):
     # A table's restriction allocates nothing domain-sized, so it runs
     # under a 1-byte budget.
