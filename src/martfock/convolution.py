@@ -49,10 +49,11 @@ def _check_level(n: int) -> None:
 def indicator_functional(n: int) -> FockCoefficients:
     """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
     _check_level(n)
-    # the ones, the table's copy of them and its masks; the finite check
-    # brings the peak to 42, inside the 4x headroom
-    TruncatedDomain(n).plan(40)
-    return FockCoefficients.from_vector(np.ones(2 << n, dtype=np.complex128), n)
+    # the ones and the masks, held by the table as built (no caller holds
+    # them, so they are not copied); the finite check brings the peak to 26
+    domain = TruncatedDomain(n)
+    domain.plan(32)
+    return FockCoefficients._from_arrays(domain.masks(), np.ones(2 << n, np.complex128), n)
 
 
 def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:

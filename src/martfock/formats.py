@@ -177,11 +177,11 @@ class Table:
 
     def __iter__(self):
         template = _VALUE_ROW if self.masks is None else _FOCK_ROW
-        texts = _sigma_texts(",")
+        texts = None if self.masks is None else _sigma_texts(",")
         yield "["
         for start in range(0, self.values.size, BLOCK_ROWS):
             values = self.values[start:start + BLOCK_ROWS]
-            sigmas = [] if self.masks is None else [texts(self.masks[start:start + BLOCK_ROWS])]
+            sigmas = [] if texts is None else [texts(self.masks[start:start + BLOCK_ROWS])]
             rows = zip(values.imag.tolist(), values.real.tolist(), *sigmas)
             yield "," * (start > 0) + ",".join(map(template.__mod__, rows))
         yield "]"

@@ -77,9 +77,10 @@ def _scalar_adapter(rule: Callable[[FiniteSubset], complex]) -> Callable[[np.nda
 def _nonzero(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """masks and values without the entries whose value is zero: the one
     place zero coefficients are left out.  Only a drop copies; with no zero
-    value the arrays come back as given.  Its bools are freed once it
-    returns, before the caller's next allocation."""
-    if (values == 0).any():
+    value the arrays come back as given.  The zero test, values.all(),
+    reduces in a fixed buffer rather than one bool per entry (NaN counts
+    as nonzero, -0.0 as zero); only a drop builds the bools of keep."""
+    if not values.all():
         keep = values != 0
         return masks[keep], values[keep]
     return masks, values

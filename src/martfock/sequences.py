@@ -6,6 +6,11 @@ coefficients are the truncation of the next term's:
 F_n(sigma) = indicator(sigma, n) * F_{n+1}(sigma).  For such sequences the
 coefficient at sigma stabilizes once n reaches max(sigma), so convergence
 reduces to a uniform growth bound on the coefficients.
+
+The scans (the predicate, the verdict and the limit) refuse on their
+arguments before they plan or read a term, in this order: too few terms,
+then a tol that is not finite and >= 0, then, for the limit, a domain
+wider than the sequence.
 """
 
 from __future__ import annotations
@@ -31,12 +36,6 @@ DEFAULT_P_GRID = (0.0, 1.0, 2.0)  # growth orders a certificate is fitted over
 PREDICATE_BYTES, LIMIT_BYTES, VERDICT_BYTES, UNIFORM_BYTES = 48, 64, 112, 64
 
 
-def _check_tol(tol: float) -> None:
-    """The tolerance of the predicate and the verdict: finite and >= 0."""
-    if not 0 <= tol < np.inf:  # NaN too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
 class InsufficientLengthError(ValueError):
     """The sequence is too short for the requested diagnostic."""
 
@@ -50,6 +49,16 @@ class NotAMartingaleError(ValueError):
             f"truncation relation violated at term {n}, subset {sigma!r}"
         )
         self.witness = witness
+
+
+def _check(seq, tol: float, least: int, needs: str) -> None:
+    """The scans' argument check, made before any plan or read: fewer than
+    least terms raise InsufficientLengthError ("need at least " + needs),
+    then a tol that is not finite and >= 0 raises ValueError."""
+    if len(seq) < least:
+        raise InsufficientLengthError(f"need at least {needs}")
+    if not 0 <= tol < np.inf:  # NaN too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass
@@ -164,9 +173,7 @@ def is_generalized_martingale(
     """Check F_n = indicator(., n) * F_{n+1} over the domain for every
     consecutive pair, two rows at a time; returns the first violation
     (n, sigma) on failure."""
-    if len(seq) < 2:
-        raise InsufficientLengthError("need at least two terms to test the relation")
-    _check_tol(tol)
+    _check(seq, tol, 2, "two terms to test the relation")
     domain.plan(PREDICATE_BYTES)
     witness = _truncation_witness(seq, domain, tol)
     return witness is None, witness
@@ -238,9 +245,7 @@ def strong_convergence_test(
     truncation check) and the last two rows.  A magnitude |F| that is not a
     finite float raises ValueError.
     """
-    if len(seq) < 3:
-        raise InsufficientLengthError("need at least three terms for a verdict")
-    _check_tol(tol)
+    _check(seq, tol, 3, "three terms for a verdict")
     k_last = len(seq) - 1
     tail_start = k_last - max(2, len(seq) // 3)
     structural = domain.max_index <= k_last  # until a pair breaks the relation
@@ -312,20 +317,24 @@ def martingale_limit(
 ) -> FockCoefficients:
     """Limit coefficients of a truncation martingale: at each subset, the
     value of the first term whose truncation level covers it (the value is
-    constant from there on).  The terms are read two rows at a time."""
-    if len(seq) < 2:
-        raise InsufficientLengthError("need at least two terms to test the relation")
-    _check_tol(tol)
-    domain.plan(LIMIT_BYTES)
-    limit = np.empty(domain.size, dtype=np.complex128)
-    witness = _truncation_witness(seq, domain, tol, limit)
-    if witness is not None:
-        raise NotAMartingaleError(witness)
+    constant from there on).  The terms are read two rows at a time.
+
+    Its arguments are checked before the plan and the read: fewer than two
+    terms, then tol, then a domain that needs terms past the last
+    (InsufficientLengthError), so a sequence that is both too short and
+    broken is refused for its length.  A broken relation raises
+    NotAMartingaleError with its witness."""
+    _check(seq, tol, 2, "two terms to test the relation")
     if domain.max_index > len(seq) - 1:
         raise InsufficientLengthError(
             f"domain needs terms up to index {domain.max_index}, "
             f"sequence has {len(seq)}"
         )
+    domain.plan(LIMIT_BYTES)
+    limit = np.empty(domain.size, dtype=np.complex128)
+    witness = _truncation_witness(seq, domain, tol, limit)
+    if witness is not None:
+        raise NotAMartingaleError(witness)
     return FockCoefficients.from_vector(limit, domain.max_index)
 
 

@@ -140,6 +140,14 @@ def test_a_table_writes_every_row_it_is_handed(block):
             assert "".join(table) == canonical(want)[:-1]
 
 
+def test_a_value_table_builds_no_sigma_texts():
+    # the 1,024-text table of _sigma_texts serves only rows with a sigma
+    values = np.array([1.0, 0.0, -0.0, 2j])
+    want = canonical([{"re": v.real, "im": v.imag} for v in values.tolist()])[:-1]
+    with mock.patch.object(formats, "_sigma_texts", side_effect=AssertionError("built")):
+        assert "".join(formats.Table(values)) == want
+
+
 def held_document(table: dict) -> tuple[dict, dict]:
     """The fock-coefficients/v1 document of a table as FockCoefficients
     would hold it (its constructor refuses a value that is not finite), and

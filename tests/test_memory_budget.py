@@ -7,7 +7,6 @@ than 4x its largest planned request.
 """
 
 import ast
-import contextlib
 import importlib.util
 import json
 import os
@@ -261,13 +260,6 @@ def rule_truncations(length):
     return FunctionalSequence([approximate(all_ones(), min(n, HORIZON)) for n in range(length)])
 
 
-def limit_of_every_term(seq):
-    # Under HORIZON + 1 terms the domain is longer than the sequence: the
-    # limit is refused once every term has been read and checked.
-    with contextlib.suppress(InsufficientLengthError):
-        martingale_limit(seq, DOMAIN)
-
-
 # name -> (sequence of a given length, call, bytes per mask the call plans):
 # each streamed path reads every term.
 STREAMED = {
@@ -281,7 +273,9 @@ STREAMED = {
     "strong_convergence_test scan": (table_sequence,
                                      lambda seq: strong_convergence_test(seq, DOMAIN),
                                      sequences.VERDICT_BYTES),
-    "martingale_limit": (truncations, limit_of_every_term, sequences.LIMIT_BYTES),
+    # HORIZON + 4 and HORIZON + 32 terms: the limit needs a term per index.
+    "martingale_limit": (lambda length: truncations(HORIZON + length),
+                         lambda seq: martingale_limit(seq, DOMAIN), sequences.LIMIT_BYTES),
     "uniform_boundedness": (table_sequence, lambda seq: uniform_boundedness(seq.terms, DOMAIN),
                             sequences.UNIFORM_BYTES),
 }
@@ -298,6 +292,18 @@ def test_streamed_peak_does_not_grow_with_the_terms(name):
     assert max(short, long) <= planned, (short, long, planned)
 
 
+def test_martingale_limit_refuses_a_short_sequence_before_the_plan():
+    # 3 terms over a horizon-20 domain: the lengths alone decide the
+    # refusal, so neither the 128 MiB plan nor a row is made.
+    seq = truncations(3)
+
+    def refused():
+        with pytest.raises(InsufficientLengthError, match="index 20, sequence has 3$"):
+            martingale_limit(seq, TruncatedDomain(20))
+
+    assert traced_peak(refused) < 1 << 20
+
+
 def test_uniform_boundedness_reads_a_lazy_family_one_term_at_a_time():
     # A generator of dense approximants, each term from HORIZON on the whole
     # table.  The term read and the next one being built are live together,
@@ -310,6 +316,21 @@ def test_uniform_boundedness_reads_a_lazy_family_one_term_at_a_time():
         assert peak <= 4 * planned, (length, peak / DOMAIN.size)
         per_mask.append(peak / DOMAIN.size)
     assert abs(per_mask[1] - per_mask[0]) < 16, per_mask
+
+
+def test_indicator_functional_peaks_within_its_plan():
+    # the ones and the masks are held as built, not copied: 26 bytes per
+    # mask with the finite check, against a plan of 32
+    peak, planned = planned_peak(indicator_functional, HORIZON)
+    assert peak <= planned, (peak / DOMAIN.size, planned / DOMAIN.size)
+
+
+def test_nonzero_tests_a_zero_free_vector_in_a_fixed_buffer():
+    # values.all() reduces in numpy's fixed buffer; one bool per entry
+    # would take 128 KB here
+    values = np.ones(1 << 17, np.complex128)
+    masks = np.arange(values.size, dtype=np.uint64)
+    assert traced_peak(functionals._nonzero, masks, values) < 16 << 10
 
 
 def test_fwht_holds_at_most_two_vectors_and_half_a_scratch():

@@ -511,6 +511,24 @@ class TestMartingaleLimit:
         with pytest.raises(InsufficientLengthError):
             martingale_limit(indicator_sequence(2), TruncatedDomain(5), tol=0.0)
 
+    def test_domain_length_is_refused_before_the_plan(self):
+        # 2^31 masks at 64 bytes each are over any budget; the refusal is
+        # the one no budget would cure.
+        with pytest.raises(InsufficientLengthError,
+                           match="^domain needs terms up to index 30, sequence has 3$"):
+            martingale_limit(indicator_sequence(2), TruncatedDomain(30))
+
+    def test_too_short_and_broken_is_refused_for_its_length(self):
+        bad = FunctionalSequence([
+            FockCoefficients({FiniteSubset(0): 1.0}),
+            FockCoefficients({FiniteSubset(0): 2.0}),
+        ])
+        assert is_generalized_martingale(bad, TruncatedDomain(2), tol=0.0) == (
+            False, (0, FiniteSubset(0)))
+        with pytest.raises(InsufficientLengthError,
+                           match="^domain needs terms up to index 2, sequence has 2$"):
+            martingale_limit(bad, TruncatedDomain(2), tol=0.0)
+
     def test_drift_below_tol_keeps_first_covering_term(self):
         # Term n holds base + n * 1e-12 on subsets of {0..n}: a martingale at
         # tol 1e-9 whose values drift, so the limit is not the last term.
@@ -719,13 +737,13 @@ def matrix_convergence_test(seq, domain, tol=1e-9, p_grid=(0.0, 1.0, 2.0)):
 
 
 def matrix_limit(seq, domain, tol):
+    if domain.max_index > len(seq) - 1:
+        raise InsufficientLengthError(
+            f"domain needs terms up to index {domain.max_index}, sequence has {len(seq)}")
     values = stacked(seq, domain)
     witness = matrix_witness(values, tol)
     if witness is not None:
         raise NotAMartingaleError(witness)
-    if domain.max_index > len(seq) - 1:
-        raise InsufficientLengthError(
-            f"domain needs terms up to index {domain.max_index}, sequence has {len(seq)}")
     return FockCoefficients.from_vector(
         np.concatenate([values[0, :2]] + [values[k, 1 << k : 2 << k]
                                           for k in range(1, domain.max_index + 1)]),

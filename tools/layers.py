@@ -3,8 +3,10 @@ milliseconds, as one JSON line.
 
 The paths are those of the per-layer table in ROADMAP.md (the Walsh-Hadamard
 transform and the chaos expansion and synthesis at horizon 18, a rule read at
-horizon 18, a residual curve, a classical verdict, the normal-martingale
-verifier and the package import), the product measure at minus_prob 0.3
+horizon 18, a residual curve, the normal-martingale verifier and the package
+import), every sequence scan on the horizon-14 classical sequence (the
+martingale predicate, the limit, uniform boundedness of its terms and the
+convergence verdict), the product measure at minus_prob 0.3
 (biased_probabilities) and the Walsh function of the 5-element subset
 {0, 4, 9, 13, 18} at horizon 18, plus sobolev_norm at order 1, the
 residual curve at order 1 over levels 0..12 (residual_curve, the path of
@@ -93,6 +95,12 @@ def main() -> int:
         "all_ones_values_on_h18_ms": timed_ms(lambda: mf.all_ones().values_on(space.domain())),
         "residual_curve_all_ones_15_h16_ms": timed_ms(
             lambda: mf.residual_curve(mf.all_ones(), 15, 1.0, mf.TruncatedDomain(16))),
+        "is_generalized_martingale_classical_h14_ms": timed_ms(
+            lambda: mf.is_generalized_martingale(classical, mf.TruncatedDomain(14))),
+        "martingale_limit_classical_h14_ms": timed_ms(
+            lambda: mf.martingale_limit(classical, mf.TruncatedDomain(14))),
+        "uniform_boundedness_classical_h14_ms": timed_ms(
+            lambda: mf.uniform_boundedness(classical.terms, mf.TruncatedDomain(14))),
         "strong_convergence_test_classical_h14_ms": timed_ms(
             lambda: mf.strong_convergence_test(classical, mf.TruncatedDomain(14))),
         "verify_normal_martingale_h18_ms": timed_ms(lambda: mf.verify_normal_martingale(space)),
