@@ -61,6 +61,25 @@ def float_checked(message: str):
         raise ValueError(message) from None
 
 
+def nonnegative(value: float, name: str) -> None:
+    """The rule for a tolerance: ValueError naming the argument unless value
+    is finite and >= 0 (NaN fails too)."""
+    if not 0 <= value < np.inf:  # NaN too
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def growth_orders(p_grid: Iterable[float]) -> list[float]:
+    """The rule for a grid of growth orders: its orders in ascending order,
+    else ValueError for an empty grid or an order that is not finite and
+    >= 0 (NaN fails too)."""
+    orders = sorted(p_grid)
+    if not orders:
+        raise ValueError("p_grid must be nonempty")
+    if not all(0 <= p < np.inf for p in orders):  # NaN too
+        raise ValueError("growth orders must be finite and nonnegative")
+    return orders
+
+
 def _scalar_adapter(rule: Callable[[FiniteSubset], complex]) -> Callable[[np.ndarray], np.ndarray]:
     """The mask-array rule of a scalar rule sigma -> complex: each mask's
     value is computed once, from a FiniteSubset, and memoised by mask.  A
@@ -286,7 +305,9 @@ class FockCoefficients:
 
     def equal_on(self, other: "FockCoefficients", domain: TruncatedDomain,
                  tol: float = 0.0) -> bool:
-        """Pointwise coefficient equality over the domain, within tol."""
+        """Pointwise coefficient equality over the domain, within tol (finite
+        and >= 0, checked before the read; ValueError otherwise)."""
+        nonnegative(tol, "tol")
         with np.errstate(over="ignore"):  # an infinite difference exceeds tol
             difference = np.abs(self.values_on(domain) - other.values_on(domain))
         return bool(np.max(difference, initial=0.0) <= tol)
@@ -405,17 +426,14 @@ def fit_growth_values(
     The selected certificate takes the smallest p whose maximizing subset has
     weight at most half the largest domain weight, a stability heuristic
     against bounds driven by the truncation edge.  A C(p) that is not a
-    finite float raises ValueError.
+    finite float raises ValueError.  The grid is checked first
+    (growth_orders).
     """
-    p_grid = list(p_grid)
-    if not p_grid:
-        raise ValueError("p_grid must be nonempty")
-    if not all(0 <= p < np.inf for p in p_grid):  # NaN too
-        raise ValueError("growth orders must be finite and nonnegative")
+    p_grid = growth_orders(p_grid)
     w_max = float(np.max(weights))
     curve: dict[float, float] = {}
     selected: Optional[GrowthCertificate] = None
-    for p in sorted(p_grid):
+    for p in p_grid:
         ratios = abs_values * weights ** (-float(p))
         idx = int(np.argmax(ratios))
         curve[p] = float(ratios[idx])
@@ -432,7 +450,9 @@ def fit_growth(
     p_grid: Iterable[float],
 ) -> tuple[dict[float, float], Optional[GrowthCertificate]]:
     """Fit the growth-bound curve p -> C(p) over the domain and select a
-    stable certificate (see fit_growth_values)."""
+    stable certificate (see fit_growth_values).  The grid is checked
+    (growth_orders) before the domain is read."""
+    p_grid = growth_orders(p_grid)
     abs_values = np.abs(phi.values_on(domain))
     return fit_growth_values(abs_values, weight_vector(domain), p_grid, domain)
 
@@ -448,8 +468,7 @@ def verify_certificate(
     Returns (True, None) or (False, witness) with a violating subset.  The
     relative slack rtol (finite, >= 0) absorbs rounding in the weight powers.
     """
-    if not 0 <= rtol < np.inf:  # NaN too
-        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
+    nonnegative(rtol, "rtol")
     abs_values = np.abs(phi.values_on(domain))
     bound = cert.bound_at(weight_vector(domain))
     with np.errstate(over="ignore"):  # an infinite slack bound is exceeded by nothing

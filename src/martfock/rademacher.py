@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import formats
-from .functionals import FockCoefficients, float_checked
+from .functionals import FockCoefficients, float_checked, nonnegative
 from .subsets import FiniteSubset, TruncatedDomain, coordinate_products
 
 
@@ -269,8 +269,9 @@ def verify_normal_martingale(
     Conditions: E[M_0] = 0, E[M_n | first n coords] = M_{n-1},
     E[M_0^2] = 1, E[M_n^2 | first n coords] = M_{n-1}^2 + 1.
     With the uniform measure every deviation is exactly 0; a biased measure
-    (negative control) breaks the mean condition.  probabilities must be
-    finite, nonnegative and sum to 1 within 1e-9 (ValueError otherwise).
+    (negative control) breaks the mean condition.  tol must be finite and
+    >= 0 (checked first, before the plan), and probabilities must be finite,
+    nonnegative and sum to 1 within 1e-9 (ValueError otherwise).
 
     The identities need only the marginals of the measure, so it is folded
     once, top coordinate first: for n = N..1 the law of coordinates 0..n
@@ -282,6 +283,7 @@ def verify_normal_martingale(
     per atom of the first N coordinates by doubling; its first 2^n values
     less N - n are M_{n-1}, exactly.
     """
+    nonnegative(tol, "tol")
     space.domain().plan(40)  # the measure, the walk, and the first fold's temporaries
     probs = (np.full(space.size, 1.0 / space.size) if probabilities is None
              else np.asarray(probabilities, dtype=float))

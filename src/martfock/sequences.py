@@ -9,8 +9,11 @@ reduces to a uniform growth bound on the coefficients.
 
 The scans (the predicate, the verdict and the limit) refuse on their
 arguments before they plan or read a term, in this order: too few terms,
-then a tol that is not finite and >= 0, then, for the limit, a domain
-wider than the sequence.
+then a tol that is not finite and >= 0 (functionals.nonnegative), then,
+for the verdict, a grid of growth orders that is empty or holds an order
+that is not finite and >= 0 (functionals.growth_orders), and, for the
+limit, a domain wider than the sequence.  uniform_boundedness checks its
+grid the same way before it plans or reads a term.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import formats
 from .functionals import (FockCoefficients, GrowthCertificate, dual_norm_bound,
-                          fit_growth_values)
+                          fit_growth_values, growth_orders, nonnegative)
 from .rademacher import RandomFunctional, chaos_expand
 from .subsets import FiniteSubset, TruncatedDomain, weight_vector
 
@@ -54,11 +57,10 @@ class NotAMartingaleError(ValueError):
 def _check(seq, tol: float, least: int, needs: str) -> None:
     """The scans' argument check, made before any plan or read: fewer than
     least terms raise InsufficientLengthError ("need at least " + needs),
-    then a tol that is not finite and >= 0 raises ValueError."""
+    then a tol that is not finite and >= 0 raises ValueError (nonnegative)."""
     if len(seq) < least:
         raise InsufficientLengthError(f"need at least {needs}")
-    if not 0 <= tol < np.inf:  # NaN too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    nonnegative(tol, "tol")
 
 
 @dataclass
@@ -243,9 +245,12 @@ def strong_convergence_test(
     running columns (the sup of |F|, its copy at the generic tail start,
     the stabilization index, the strictly-increasing tail mask, the
     truncation check) and the last two rows.  A magnitude |F| that is not a
-    finite float raises ValueError.
+    finite float raises ValueError.  The arguments are checked before the
+    plan and the read: fewer than three terms, then tol, then p_grid
+    (growth_orders).
     """
     _check(seq, tol, 3, "three terms for a verdict")
+    p_grid = growth_orders(p_grid)
     k_last = len(seq) - 1
     tail_start = k_last - max(2, len(seq) // 3)
     structural = domain.max_index <= k_last  # until a pair breaks the relation
@@ -276,16 +281,9 @@ def strong_convergence_test(
         tail_start, settled = domain.max_index, True
     else:
         settled = bool(np.all(stab <= tail_start))
-    witness = None
+    witness = cert = None
     if settled:
         _, cert = fit_growth_values(sup_abs, weights, p_grid, domain)
-        if cert is not None:
-            return ConvergenceVerdict(
-                ConvergenceStatus.CONVERGED,
-                limit=FockCoefficients.from_vector(row, domain.max_index),
-                uniform_certificate=cert, tail_start=tail_start,
-                diagnostics=SigmaDiagnostics(stab, sup_abs, cert.bound_at(weights) - sup_abs),
-            )
     else:
         # Divergence scan: fit certificates to the pre-tail prefix, then look
         # for a subset whose tail magnitudes (row_abs is the last, prev_abs the
@@ -303,11 +301,14 @@ def strong_convergence_test(
         if grows.any():
             witness = (FiniteSubset(int(np.argmax(grows))),
                        "coefficient magnitudes grow past every fitted bound")
-    return ConvergenceVerdict(
-        ConvergenceStatus.INCONCLUSIVE if witness is None else ConvergenceStatus.DIVERGED,
-        witness=witness, tail_start=tail_start,
-        diagnostics=SigmaDiagnostics(stab, sup_abs, np.full_like(sup_abs, np.nan)),
-    )
+    if cert is None:
+        status = ConvergenceStatus.INCONCLUSIVE if witness is None else ConvergenceStatus.DIVERGED
+        limit, margin = None, np.full_like(sup_abs, np.nan)
+    else:
+        limit = FockCoefficients.from_vector(row, domain.max_index)
+        status, margin = ConvergenceStatus.CONVERGED, cert.bound_at(weights) - sup_abs
+    return ConvergenceVerdict(status, limit, cert, witness, tail_start,
+                              SigmaDiagnostics(stab, sup_abs, margin))
 
 
 def martingale_limit(
@@ -354,7 +355,9 @@ def uniform_boundedness(
     iterated once and read one term at a time, never listed (ValueError if
     a magnitude is not a finite float); when one is found, also report the
     induced bound on the dual norms of order q = order + 1.  The bound at any
-    other order q is dual_norm_bound(bound.certificate, q)."""
+    other order q is dual_norm_bound(bound.certificate, q).  The grid is
+    checked (growth_orders) before the plan and the first term."""
+    p_grid = growth_orders(p_grid)
     domain.plan(UNIFORM_BYTES)
     sup_abs, n = np.zeros(domain.size), -1
     for n, phi in enumerate(functionals):

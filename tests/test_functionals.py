@@ -431,6 +431,13 @@ class TestNonFiniteInputs:
                 self.refused_alone(multiple, r"scalar .* is not finite")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_equal_on_refuses_tol_before_the_plan(tol, no_plan):
+    # A NaN tol made equal_on return False for a functional and itself.
+    with pytest.raises(ValueError, match=f"^tol must be finite and nonnegative, got {tol}$"):
+        all_ones().equal_on(all_ones(), TruncatedDomain(3), tol=tol)
+
+
 class TestDualNormBound:
     def test_known_constant(self):
         got = dual_norm_bound(GrowthCertificate(1.0, 0.0), 1.0)

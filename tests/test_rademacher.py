@@ -474,6 +474,14 @@ class TestNormalMartingaleVerifier:
                                              "and sum to 1 within 1e-9"):
             verify_normal_martingale(SampleSpace(3), probs)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("space", [SampleSpace(4)], ids=["h4"])  # built before no_plan
+    def test_tol_is_refused_before_the_plan(self, space, tol, no_plan):
+        # A NaN tol failed both conditions at a deviation of 0.0.
+        with pytest.raises(ValueError,
+                           match=f"^tol must be finite and nonnegative, got {tol}$"):
+            verify_normal_martingale(space, tol=tol)
+
     def test_json_report(self):
         data = verify_normal_martingale(SampleSpace(2)).to_json_dict()
         assert data["passed"] is True

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from martfock import sequences, subsets
 from martfock.convolution import all_ones, approximation_sequence, indicator_functional
-from martfock.functionals import FockCoefficients, dual_norm_bound, fit_growth_values
+from martfock.functionals import (FockCoefficients, dual_norm_bound, fit_growth,
+                                  fit_growth_values)
 from martfock.rademacher import (
     SampleSpace,
     chaos_expand,
@@ -562,6 +563,40 @@ def test_tol_must_be_finite_and_nonnegative(tol):
     for check in (is_generalized_martingale, strong_convergence_test, martingale_limit):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             check(seq, domain, tol)
+
+
+BAD_GRIDS = {"empty": ([], "p_grid must be nonempty"),
+             "nan": ([float("nan")], "growth orders must be finite and nonnegative"),
+             "negative": ([-1.0], "growth orders must be finite and nonnegative")}
+
+
+def unread_family():
+    raise AssertionError("a term was read")
+    yield  # a generator: the body runs at the first read
+
+
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_growth_grid_is_refused_before_the_plan(grid, no_plan):
+    # The grid alone decides these refusals; they came after the
+    # whole-domain read, and uniform_boundedness's after every term.
+    p_grid, message = BAD_GRIDS[grid]
+    seq, domain = diverging_at_empty(3), TruncatedDomain(2)
+    for refused in (lambda: strong_convergence_test(seq, domain, p_grid=p_grid),
+                    lambda: uniform_boundedness(unread_family(), domain, p_grid),
+                    lambda: fit_growth(seq[0], domain, p_grid)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refused()
+
+
+def test_verdict_arguments_are_refused_in_order(no_plan):
+    # terms, then tol, then the grid, each before the plan
+    nan, domain = float("nan"), TruncatedDomain(2)
+    with pytest.raises(InsufficientLengthError, match="^need at least three terms"):
+        strong_convergence_test(diverging_at_empty(1), domain, nan, [])
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative, got nan$"):
+        strong_convergence_test(diverging_at_empty(2), domain, nan, [])
+    with pytest.raises(ValueError, match="^p_grid must be nonempty$"):
+        strong_convergence_test(diverging_at_empty(2), domain, 0.0, [])
 
 
 class TestUniformBoundedness:

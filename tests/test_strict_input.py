@@ -3,8 +3,11 @@
 failing verdict), never output.  The readers behind the commands refuse
 the same files with the same messages."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,11 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import martfock
+from martfock import functionals
 from martfock.cli import main
-from martfock.functionals import FockCoefficients
-from martfock.rademacher import RandomFunctional, SampleSpace
-from martfock.sequences import FunctionalSequence
-from martfock.subsets import FiniteSubset
+from martfock.functionals import (FockCoefficients, GrowthCertificate, fit_growth,
+                                  fit_growth_values, verify_certificate)
+from martfock.rademacher import RandomFunctional, SampleSpace, verify_normal_martingale
+from martfock.sequences import (FunctionalSequence, is_generalized_martingale,
+                                martingale_limit, strong_convergence_test,
+                                uniform_boundedness)
+from martfock.subsets import FiniteSubset, TruncatedDomain
 
 FOCK = '"format":"fock-coefficients/v1"'
 SEQ = '"format":"fock-sequence/v1"'
@@ -181,3 +189,65 @@ def test_well_formed_numbers_still_load(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["horizon"] == 1
     assert [complex(v["re"], v["im"]) for v in data["values"]] == [2 - 1j, 2 - 1j, -2 + 1j, -2 + 1j]
+
+
+# Every public function of the package that takes a tolerance or a grid of
+# growth orders, called with NaN there and valid arguments elsewhere.
+PHI = FockCoefficients({FiniteSubset(0): 1.0})
+SEQUENCE, DOMAIN, SPACE = FunctionalSequence([PHI] * 3), TruncatedDomain(2), SampleSpace(2)
+NAN = float("nan")
+ARGUMENT_RULES = {
+    "functionals.FockCoefficients.equal_on(tol)": lambda: PHI.equal_on(PHI, DOMAIN, NAN),
+    "functionals.fit_growth(p_grid)": lambda: fit_growth(PHI, DOMAIN, [NAN]),
+    "functionals.growth_orders(p_grid)": lambda: functionals.growth_orders([NAN]),
+    "functionals.fit_growth_values(p_grid)":
+        lambda: fit_growth_values(np.empty(0), np.empty(0), [NAN]),
+    "functionals.verify_certificate(rtol)":
+        lambda: verify_certificate(PHI, GrowthCertificate(1.0, 0.0), DOMAIN, NAN),
+    "rademacher.verify_normal_martingale(tol)": lambda: verify_normal_martingale(SPACE, tol=NAN),
+    "sequences.is_generalized_martingale(tol)":
+        lambda: is_generalized_martingale(SEQUENCE, DOMAIN, NAN),
+    "sequences.martingale_limit(tol)": lambda: martingale_limit(SEQUENCE, DOMAIN, NAN),
+    "sequences.strong_convergence_test(tol)":
+        lambda: strong_convergence_test(SEQUENCE, DOMAIN, NAN),
+    "sequences.strong_convergence_test(p_grid)":
+        lambda: strong_convergence_test(SEQUENCE, DOMAIN, p_grid=[NAN]),
+    "sequences.uniform_boundedness(p_grid)": lambda: uniform_boundedness([PHI], DOMAIN, [NAN]),
+}
+RULE_MESSAGES = {"tol": "tol must be finite and nonnegative, got nan",
+                 "rtol": "rtol must be finite and nonnegative, got nan",
+                 "p_grid": "growth orders must be finite and nonnegative"}
+
+
+def public_rule_arguments() -> set[str]:
+    """"module.function(argument)" for each tol, rtol or p_grid argument of
+    a public function or method defined in any module of the package."""
+    found = set()
+    for info in pkgutil.iter_modules(martfock.__path__):
+        module = importlib.import_module(f"martfock.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = ([(f"{name}.{m}", getattr(obj, m)) for m in vars(obj) if m[0] != "_"]
+                       if inspect.isclass(obj) else [(name, obj)])
+            for qualname, member in members:
+                if inspect.isroutine(member):
+                    found.update(f"{info.name}.{qualname}({arg})"
+                                 for arg in inspect.signature(member).parameters
+                                 if arg in RULE_MESSAGES)
+    return found
+
+
+def test_every_tolerance_and_grid_refuses_nan_before_the_plan(no_plan):
+    # The table lists every such argument, so a path added later cannot
+    # skip the check.  equal_on returned False, verify_normal_martingale a
+    # failed report, and the three growth paths refused only after a plan.
+    assert public_rule_arguments() == set(ARGUMENT_RULES)
+    refused = {}
+    for case, call in ARGUMENT_RULES.items():
+        try:
+            call()
+        except Exception as error:  # every outcome is compared below
+            refused[case] = f"{type(error).__name__}: {error}"
+    assert refused == {case: "ValueError: " + RULE_MESSAGES[case[case.index("(") + 1:-1]]
+                       for case in ARGUMENT_RULES}

@@ -5,13 +5,16 @@ The paths are those of the per-layer table in ROADMAP.md (the Walsh-Hadamard
 transform and the chaos expansion and synthesis at horizon 18, a rule read at
 horizon 18, a residual curve, the normal-martingale verifier and the package
 import), every sequence scan on the horizon-14 classical sequence (the
-martingale predicate, the limit, uniform boundedness of its terms and the
-convergence verdict), the product measure at minus_prob 0.3
-(biased_probabilities) and the Walsh function of the 5-element subset
-{0, 4, 9, 13, 18} at horizon 18, plus sobolev_norm at order 1, the
-residual curve at order 1 over levels 0..12 (residual_curve, the path of
-`martfock approx --csv`) and approximation_residual at each level 0..12 on
-the coefficient tables of the approx-dense and approx-sparse-wide workloads
+martingale predicate, the limit, uniform boundedness of its terms, the
+convergence verdict and the verdict refusing an empty growth-order grid,
+which reads about 0 ms since the grid is checked before any plan or read),
+fit_growth over the default orders 0, 1, 2 on that sequence's last term,
+the product measure at minus_prob 0.3 (biased_probabilities) and the Walsh
+function of the 5-element subset {0, 4, 9, 13, 18} at horizon 18, plus
+sobolev_norm at order 1, the residual curve at order 1 over levels 0..12
+(residual_curve, the path of `martfock approx --csv`) and
+approximation_residual at each level 0..12 on the coefficient tables of
+the approx-dense and approx-sparse-wide workloads
 (seed 1, built by `bench/workloads.py`, imported and not changed), and
 subsets._pairwise_sum alone over the approx-sparse-wide table's order-1
 residual terms from masks 2 and 2^13 on, which separates the sum from the
@@ -55,6 +58,15 @@ def timed_ms(call) -> list[float]:
     return summary_ms(times)
 
 
+def refused(call, *args, **kwargs) -> None:
+    """Call, expecting its argument check to raise ValueError."""
+    try:
+        call(*args, **kwargs)
+    except ValueError:
+        return
+    raise AssertionError(f"{call.__name__} did not refuse its arguments")
+
+
 def import_ms() -> list[float]:
     """Cumulative `-X importtime` of `import martfock`, in a child."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -88,6 +100,7 @@ def main() -> int:
     coefficients = mf.chaos_expand(f)
     classical = mf.classical_to_sequence(
         mf.RandomFunctional(mf.SampleSpace(14), rng.standard_normal(1 << 15) + 0j))
+    h14 = mf.TruncatedDomain(14)
     out = {
         "fwht_h18_ms": timed_ms(lambda: mf.fwht(f.values)),
         "chaos_expand_h18_ms": timed_ms(lambda: mf.chaos_expand(f)),
@@ -96,13 +109,17 @@ def main() -> int:
         "residual_curve_all_ones_15_h16_ms": timed_ms(
             lambda: mf.residual_curve(mf.all_ones(), 15, 1.0, mf.TruncatedDomain(16))),
         "is_generalized_martingale_classical_h14_ms": timed_ms(
-            lambda: mf.is_generalized_martingale(classical, mf.TruncatedDomain(14))),
+            lambda: mf.is_generalized_martingale(classical, h14)),
         "martingale_limit_classical_h14_ms": timed_ms(
-            lambda: mf.martingale_limit(classical, mf.TruncatedDomain(14))),
+            lambda: mf.martingale_limit(classical, h14)),
         "uniform_boundedness_classical_h14_ms": timed_ms(
-            lambda: mf.uniform_boundedness(classical.terms, mf.TruncatedDomain(14))),
+            lambda: mf.uniform_boundedness(classical.terms, h14)),
         "strong_convergence_test_classical_h14_ms": timed_ms(
-            lambda: mf.strong_convergence_test(classical, mf.TruncatedDomain(14))),
+            lambda: mf.strong_convergence_test(classical, h14)),
+        "strong_convergence_test_empty_grid_h14_ms": timed_ms(
+            lambda: refused(mf.strong_convergence_test, classical, h14, p_grid=[])),
+        "fit_growth_classical_last_term_h14_ms": timed_ms(
+            lambda: mf.fit_growth(classical[-1], h14, mf.sequences.DEFAULT_P_GRID)),
         "verify_normal_martingale_h18_ms": timed_ms(lambda: mf.verify_normal_martingale(space)),
         "biased_probabilities_h18_ms": timed_ms(lambda: mf.biased_probabilities(space, 0.3)),
         "walsh_h18_ms": timed_ms(
