@@ -6,7 +6,9 @@ indicator functionals (coefficient 1 on every subset of {0,..,n}) convolves
 any functional into its truncation, producing a martingale sequence that
 approximates the original functional.  Convolutions and approximants of a
 rule are rules again, computed at the masks they are read at; neither
-builds an indicator table.
+builds an indicator table.  A truncation level is a domain index, 0..63:
+TruncatedDomain refuses any other, before any plan or read, and only plan
+refuses what is too big.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import numpy as np
 from .functionals import FockCoefficients, InsufficientOrderError, _product, float_checked
 from .sequences import FunctionalSequence
 from .subsets import TruncatedDomain, weighted_sums
-
-INDICATOR_MAX_LEVEL = 20
 
 
 def convolve(a: FockCoefficients, b: FockCoefficients) -> FockCoefficients:
@@ -41,14 +41,8 @@ def all_ones() -> FockCoefficients:
     return FockCoefficients._from_mask_rule(lambda m: np.ones(m.size, np.complex128), None)
 
 
-def _check_level(n: int) -> None:
-    if not 0 <= n <= INDICATOR_MAX_LEVEL:
-        raise ValueError(f"truncation level must lie in 0..{INDICATOR_MAX_LEVEL}, got {n}")
-
-
 def indicator_functional(n: int) -> FockCoefficients:
     """Coefficient 1 at every subset of {0,..,n}, 0 elsewhere."""
-    _check_level(n)
     # the ones and the masks, held by the table as built (no caller holds
     # them, so they are not copied); the finite check brings the peak to 26
     domain = TruncatedDomain(n)
@@ -66,10 +60,10 @@ def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:
     convolved with the indicator written as a rule (1 below 2^(n+1), 0 from
     there on), so its approximant is a rule too, and each value is rounded
     as the indicator table's convolution rounded it (0 * -x is -0.0)."""
-    _check_level(n)
+    domain = TruncatedDomain(n)
     if phi.rule is not None:
         return convolve(FockCoefficients._from_mask_rule(lambda m: (m < (2 << n)) + 0j, n), phi)
-    masks, values = phi._entries_on(TruncatedDomain(n))
+    masks, values = phi._entries_on(domain)
     return FockCoefficients._from_arrays(masks, _product(1.0, values),
                                          min(n, phi.support_bound))
 
@@ -79,12 +73,8 @@ def approximation_sequence(phi: FockCoefficients, levels: int) -> FunctionalSequ
     return FunctionalSequence([approximate(phi, n) for n in range(levels + 1)])
 
 
-def approximation_residual(
-    phi: FockCoefficients,
-    n: int,
-    q: float,
-    domain: TruncatedDomain,
-) -> float:
+def approximation_residual(phi: FockCoefficients, n: int, q: float,
+                           domain: TruncatedDomain) -> float:
     """Dual-side norm of phi minus its level-n approximant over the domain:
     sqrt of the sum of weight^(-2q) |F|^2 over subsets outside {0,..,n}.
 
@@ -94,15 +84,11 @@ def approximation_residual(
     from 2^(n+1) on (the power, |F|^2 and the sum; see _residuals); no dense
     complex vector is built.
     """
-    return _residuals(phi, [n], q, domain)[0]
+    return _residuals(phi, range(n, n + 1), q, domain)[0]
 
 
-def residual_curve(
-    phi: FockCoefficients,
-    level: int,
-    q: float,
-    domain: TruncatedDomain,
-) -> list[float]:
+def residual_curve(phi: FockCoefficients, level: int, q: float,
+                   domain: TruncatedDomain) -> list[float]:
     """approximation_residual at every n = 0..level, from one vector of
     terms: one power and one |F|^2 per mask outside {0} (per entry there,
     for a sparse table), and one sum per level, with no dense complex
@@ -110,9 +96,11 @@ def residual_curve(
     return _residuals(phi, range(level + 1), q, domain)
 
 
-def _residuals(phi, levels, q, domain) -> list[float]:
-    """Residuals at the given levels: the subsets outside {0,..,n} are
-    exactly the masks from 2^(n+1) on, so each level is the square root of
+def _residuals(phi, levels: range, q, domain) -> list[float]:
+    """Residuals at a range of levels, 0..level or the one level n.  Its last
+    level is refused unless it is a domain index, before any read, and so is
+    every level.  The subsets outside {0,..,n} are exactly the masks from
+    2^(n+1) on, so each level is the square root of
     subsets.weighted_sums at exponent -2q from that start (0.0 once
     n >= max_index, without a read when every level is), all from one
     vector of terms: over the masks from the least start on, or over the
@@ -121,7 +109,8 @@ def _residuals(phi, levels, q, domain) -> list[float]:
     if not q > 0.5:  # NaN too
         raise InsufficientOrderError(f"residual order q={q} too small; "
                                      "needs q > growth order + 1/2")
-    if all(n >= domain.max_index for n in levels):
+    TruncatedDomain(levels.stop - 1)
+    if levels.start >= domain.max_index:
         return [0.0 for _ in levels]  # nothing outside {0,..,n} to read
     masks, values = phi._entries_on(domain)
     with float_checked(f"a residual term or sum at order q={q} overflows the float range"):

@@ -1,6 +1,11 @@
 """The */v1 documents: every one is read and written here.
 
-Reading.  json.loads is the only parser.  The json_* readers check what it
+Reading.  load_json admits the read first, by subsets.admit at READ_BYTES
+per byte of the file: a regular file from its size before it is read, a
+file with no size (a pipe, a device, a /proc file) once it has been read, a
+MiB at a time, until it ends or passes the bound (half the budget).  What
+json.loads builds from a value that is not a document is not costed.
+json.loads is the only parser.  The json_* readers check what it
 returns strictly: wrong JSON types (a bool is not an int), malformed subsets
 and non-finite numbers raise ValueError.  json_table decodes a table's rows
 BLOCK_ROWS at a time, by json_complex and json_masks, into the columns of a
@@ -35,16 +40,20 @@ import json
 import os
 import sys
 from contextlib import nullcontext, suppress
-from itertools import chain
-from pathlib import Path
+from itertools import chain, islice
 
 import numpy as np
+
+from . import subsets
 
 FOCK_FORMAT = "fock-coefficients/v1"
 RANDOM_FUNCTIONAL_FORMAT = "random-functional/v1"
 SEQUENCE_FORMAT = "fock-sequence/v1"
 
 BLOCK_ROWS = 1024
+# What reading a file holds per byte of it, at its peak: its bytes and its
+# text, for a moment (2.00 traced bytes per byte for each kind of document).
+READ_BYTES = 2
 _LOW_BITS = 10  # sigma texts of the low bits come from one table of 2^10
 _FOCK_ROW = '{"im":%r,"re":%r,"sigma":[%s]}'
 _VALUE_ROW = '{"im":%r,"re":%r}'
@@ -54,8 +63,20 @@ _INDICES = set(range(64))  # a subset's elements: the bits of a uint64 mask
 def load_json(path: str, sigma: bool):
     """The JSON value in the file at path, in which each document's table
     (its "coefficients" rows, each with a sigma, or else its "values" rows)
-    is a Table, decoded a block of rows at a time while json.loads runs."""
-    text, pending, blocks = Path(path).read_text(), [], []
+    is a Table, decoded a block of rows at a time while json.loads runs.
+    The read is admitted by subsets.admit at READ_BYTES per byte of the
+    file: from its size before it is read, or, for a file with no size (a
+    pipe, a device, a /proc file), once it has been read up to the bound."""
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size  # 0 for a file with no size
+        subsets.admit(f"{size} bytes of {path}", size, READ_BYTES)
+        if size:
+            text = file.read()
+        else:  # a MiB at a time (read(n) would take n bytes at once), past the bound
+            chunks = iter(lambda: file.read(1 << 20), b"")
+            text = b"".join(islice(chunks, (subsets.MEMORY_BUDGET // READ_BYTES >> 20) + 1))
+    subsets.admit(f"{len(text)} bytes of {path}", len(text), READ_BYTES)
+    text, pending, blocks = text.decode(), [], []  # the bytes are dropped once decoded
     key = "coefficients" if sigma else "values"  # where a document holds its table
 
     def hook(obj: dict):

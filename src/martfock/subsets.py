@@ -26,8 +26,19 @@ MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 
 
 class DomainTooLargeError(ValueError):
-    """A domain-sized allocation was refused before it was made: its planned
-    bytes exceed MEMORY_BUDGET."""
+    """An allocation was refused by admit before it was made: its planned
+    bytes exceed MEMORY_BUDGET.  It is a domain-sized one (TruncatedDomain.plan)
+    or the read of a file (formats.load_json)."""
+
+
+def admit(what: str, count: int, bytes_each: int) -> None:
+    """Admit an allocation of count things (what names them) at bytes_each
+    bytes each, before it is made; DomainTooLargeError if the total exceeds
+    MEMORY_BUDGET.  The library's one size check: the budget is read here,
+    at each call, so a budget set after import applies."""
+    if count * bytes_each > MEMORY_BUDGET:
+        raise DomainTooLargeError(f"{what} at {bytes_each} bytes each need {count * bytes_each} "
+                                  f"bytes, over the memory budget of {MEMORY_BUDGET} bytes")
 
 
 class InvalidExponentError(ValueError):
@@ -115,12 +126,8 @@ class TruncatedDomain:
 
     def plan(self, bytes_per_mask: int) -> None:
         """Admit an operation that allocates bytes_per_mask bytes per mask of
-        the domain, before it allocates them; DomainTooLargeError if the
-        total exceeds MEMORY_BUDGET."""
-        if self.size * bytes_per_mask > MEMORY_BUDGET:
-            raise DomainTooLargeError(f"2^{self.max_index + 1} subsets at {bytes_per_mask} "
-                                      f"bytes each need {self.size * bytes_per_mask} bytes, "
-                                      f"over the memory budget of {MEMORY_BUDGET} bytes")
+        the domain, before it allocates them (see admit)."""
+        admit(f"2^{self.max_index + 1} subsets", self.size, bytes_per_mask)
 
     def __len__(self) -> int:
         return self.size

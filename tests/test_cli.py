@@ -490,13 +490,43 @@ class TestApprox:
         approx = FockCoefficients.from_json_dict(json.loads(out.read_text()))
         assert approx.equal_on(phi, TruncatedDomain(2), tol=0.0)
 
-    def test_level_above_indicator_limit_is_input_error(self, tmp_path, capsys):
+    def test_level_outside_the_index_range_is_input_error(self, tmp_path, capsys):
+        # A level is a domain index: 0..63, whatever the memory.
         src = tmp_path / "phi.json"
         write_json(src, FockCoefficients({FiniteSubset(5): 1.0}).to_json_dict())
-        assert main(["approx", "--in", str(src), "--n", "21"]) == 2
+        for level in (-1, 64):
+            assert main(["approx", "--in", str(src), "--n", str(level)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: max_index must lie in 0..63, got {level}\n"
+        for level in (21, 63):
+            assert main(["approx", "--in", str(src), "--n", str(level), "--csv",
+                         str(tmp_path / "r.csv")]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["support_bound"] == 2
+            assert doc["coefficients"] == [{"sigma": [0, 2], "re": 1.0, "im": 0.0}]
+            with open(tmp_path / "r.csv") as handle:
+                residuals = [float(row["residual"]) for row in csv.DictReader(handle)]
+            assert residuals == [1 / 3, 1 / 3] + [0.0] * (level - 1)
+
+    def test_a_sparse_table_at_horizon_39(self, tmp_path, capsys):
+        # Its approximant at level 39 allocates nothing domain-sized: both
+        # rows are written.  Its residuals plan 8 bytes per mask over 2^40
+        # masks, which plan refuses on one line.
+        src = tmp_path / "phi.json"
+        write_json(src, FockCoefficients({FiniteSubset.from_elements([0, 2, 39]): 2.0,
+                                          FiniteSubset.from_elements([0, 1]): 1j}).to_json_dict())
+        assert main(["approx", "--in", str(src), "--n", "39"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["support_bound"] == 39
+        assert doc["coefficients"] == [{"sigma": [0, 1], "re": 0.0, "im": 1.0},
+                                       {"sigma": [0, 2, 39], "re": 2.0, "im": 0.0}]
+        csv_path = tmp_path / "r.csv"
+        assert main(["approx", "--in", str(src), "--n", "39", "--csv", str(csv_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: truncation level must lie in 0..20, got 21\n"
+        assert captured.out == "" and not csv_path.exists()
+        assert captured.err == ("error: 2^40 subsets at 8 bytes each need 8796093022208 bytes, "
+                                "over the memory budget of 268435456 bytes\n")
 
     def test_overflowing_residual_is_one_error_line(self, tmp_path):
         # 1e200 squares past the float range: one error line, no inf

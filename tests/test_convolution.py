@@ -1,5 +1,6 @@
 import cmath
 import functools
+import inspect
 import itertools
 import math
 import warnings
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from martfock import convolution, subsets
 from martfock.convolution import (
-    INDICATOR_MAX_LEVEL,
     all_ones,
     approximate,
     approximation_residual,
@@ -203,21 +203,32 @@ class TestApproximate:
                            1 << 30)}
         phi = from_masks(table)
         small = from_masks({m: v for m, v in table.items() if m < 16})
-        for psi, n in ((phi, 0), (phi, 19), (phi, INDICATOR_MAX_LEVEL), (small, 0),
-                       (small, 3), (small, 9), (small, INDICATOR_MAX_LEVEL)):
+        for psi, n in ((phi, 0), (phi, 19), (phi, 20), (phi, 21), (small, 0),
+                       (small, 3), (small, 9), (small, 21)):
             got = approximate(psi, n)
             self.assert_same_table(got, convolve(indicator_functional(n), psi))
             assert got.support_bound == min(n, psi.support_bound)
+        # At level 63 the indicator is refused by plan (2^64 masks), so each
+        # approximant is checked against the indicator's entries at its masks.
+        for psi in (phi, small):
+            ones = FockCoefficients._from_arrays(psi._masks, np.ones(psi._masks.size, complex), 63)
+            self.assert_same_table(approximate(psi, 63), convolve(ones, psi))
         # The real part -0.0 * 1 - 0 * im is -0.0 for im = 3 but +0.0 for im = -1.
         assert repr(phi.evaluate(FiniteSubset(13))) == "(-0-1j)"
         assert repr(approximate(phi, 3).evaluate(FiniteSubset(9))) == "(-0+3j)"
         assert repr(approximate(phi, 3).evaluate(FiniteSubset(13))) == "-1j"
 
     def test_level_outside_range_is_refused(self):
+        # A level is a domain index, whatever the memory: 21 and 63 are
+        # accepted, and the level-63 approximant of a rule reads mask 2^63.
         for phi in (from_masks({0: 1.0}), all_ones()):
-            for n in (-1, INDICATOR_MAX_LEVEL + 1):
-                with pytest.raises(ValueError, match=r"truncation level must lie in 0\.\.20"):
+            for n in (-1, 64):
+                with pytest.raises(ValueError, match=rf"max_index must lie in 0\.\.63, got {n}$"):
                     approximate(phi, n)
+            for n in (21, 63):
+                assert approximate(phi, n).support_bound == (0 if phi.rule is None else n)
+        assert approximate(all_ones(), 63).evaluate(FiniteSubset(1 << 63)) == 1
+        assert approximate(all_ones(), 62).evaluate(FiniteSubset(1 << 63)) == 0
 
     def test_rule_keeps_the_convolution(self):
         approx = approximate(FockCoefficients.from_rule(lambda s: weight(s) - 1j), 2)
@@ -287,6 +298,37 @@ class TestApproximationResidual:
             approximation_residual(phi, 1, float("nan"), TruncatedDomain(3))
         with pytest.raises(InsufficientOrderError):
             residual_curve(phi, 1, float("nan"), TruncatedDomain(3))
+
+
+# Every public argument that is a truncation level.  A level is a domain
+# index, 0..63: any other is refused (as TruncatedDomain refuses it, or, for
+# an empty sequence, as FunctionalSequence does) before any plan or read.
+LEVELS = {
+    "approximate": lambda phi, n: approximate(phi, n),
+    "indicator_functional": lambda phi, n: indicator_functional(n),
+    "approximation_residual": lambda phi, n: approximation_residual(phi, n, 1.0,
+                                                                    TruncatedDomain(4)),
+    "residual_curve": lambda phi, n: residual_curve(phi, n, 1.0, TruncatedDomain(4)),
+    "approximation_sequence": lambda phi, n: approximation_sequence(phi, n),
+}
+
+
+@pytest.mark.parametrize("level", [-3, -2, -1, 64])
+def test_every_level_outside_the_index_range_is_refused_before_the_plan(level, no_plan):
+    public = {name for name, f in vars(convolution).items()
+              if inspect.isfunction(f) and f.__module__ == convolution.__name__
+              and not name.startswith("_")
+              and {"n", "level", "levels"} & set(inspect.signature(f).parameters)}
+    assert public == set(LEVELS)
+    # a table ({}: 1 and {0, 2}: 2), whose residuals read it without a plan,
+    # and a rule, whose read plans
+    for phi in (from_masks({0: 1.0, 0b101: 2.0}), all_ones()):
+        for name, call in LEVELS.items():
+            message = ("a functional sequence must have at least one term"
+                       if name == "approximation_sequence" and level < 0
+                       else rf"max_index must lie in 0\.\.63, got {level}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(phi, level)
 
 
 @functools.lru_cache(maxsize=1)

@@ -9,7 +9,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from martfock import formats
+from martfock import formats, subsets
 from martfock.functionals import FockCoefficients, GrowthCertificate
 from martfock.rademacher import RandomFunctional, SampleSpace
 from martfock.sequences import ConvergenceStatus, ConvergenceVerdict, FunctionalSequence
-from martfock.subsets import FiniteSubset
+from martfock.subsets import DomainTooLargeError, FiniteSubset
 
 TOP = (1 << 64) - 1
 
@@ -396,3 +398,45 @@ def test_a_document_read_as_the_other_kind_is_parsed_again(tmp_path):
     data = formats.load_json(str(path), sigma=False)
     assert type(data["coefficients"]) is list
     assert FockCoefficients.from_json_dict(data).to_json_dict() == phi.to_json_dict()
+
+
+class Unread(io.BufferedReader):
+    def read(self, *size):
+        raise AssertionError("the file was read")
+
+
+def test_a_file_is_admitted_from_its_size_before_it_is_read(tmp_path, monkeypatch):
+    # at formats.READ_BYTES (2) bytes per byte of the file, by subsets.admit
+    path = tmp_path / "phi.json"
+    formats.write(FockCoefficients({FiniteSubset(3): 1.0}).to_document(), str(path))
+    size = path.stat().st_size
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 2 * size)  # exactly the plan
+    assert formats.load_json(str(path), sigma=True)["support_bound"] == 1
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", 2 * size - 1)
+    monkeypatch.setattr(formats, "open", lambda path, mode: Unread(io.FileIO(path, mode)),
+                        raising=False)
+    with pytest.raises(DomainTooLargeError) as refused:
+        formats.load_json(str(path), sigma=True)
+    assert str(refused.value) == (f"{size} bytes of {path} at 2 bytes each need {2 * size} "
+                                  f"bytes, over the memory budget of {2 * size - 1} bytes")
+
+
+def test_a_file_with_no_size_is_read_up_to_the_bound(tmp_path, monkeypatch):
+    # A pipe has no size: it is read until it ends or passes the bound (half
+    # the budget), and refused past it.
+    text = json.dumps(FockCoefficients({FiniteSubset(3): 1.0}).to_json_dict())
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    for budget in (2 * len(text), 2 * len(text) - 2):
+        monkeypatch.setattr(subsets, "MEMORY_BUDGET", budget)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            outcome = formats.load_json(str(pipe), sigma=True)["support_bound"]
+        except DomainTooLargeError as exc:
+            outcome = str(exc)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert outcome == (1 if budget == 2 * len(text) else
+                           f"{len(text)} bytes of {pipe} at 2 bytes each need {2 * len(text)} "
+                           f"bytes, over the memory budget of {budget} bytes")

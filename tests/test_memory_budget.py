@@ -533,19 +533,27 @@ CHILD = textwrap.dedent("""
 
 def test_crash_reproductions_exit_2_under_an_address_space_limit(tmp_path):
     # Unplanned, each call dies in a MemoryError traceback with exit 1 at
-    # 2 GiB of address space: a 2 GiB weight vector, and a 1.5 GiB matrix of
-    # three terms over 2^25 masks.
+    # 2 GiB of address space: a 2 GiB weight vector, a 1.5 GiB matrix of
+    # three terms over 2^25 masks, a device with no end, and a 3 GiB file
+    # (sparse: it takes no disk), refused from its size before any read.
     term = {"format": "fock-coefficients/v1", "support_bound": 24,
             "coefficients": [{"sigma": [], "re": 1.0, "im": 0.0}]}
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"format": "fock-sequence/v1", "terms": [term] * 3}))
+    sparse = tmp_path / "sparse.json"
+    sparse.touch()
+    os.truncate(sparse, 3 << 30)
     for argv in (["series", "--p", "2", "--horizon", "27"],
                  ["converge", "--in", str(seq)],
-                 ["martingale-check", "--in", str(seq)]):
+                 ["martingale-check", "--in", str(seq)],
+                 ["expand", "--in", "/dev/zero"],
+                 ["expand", "--in", str(sparse)]):
         done = subprocess.run([sys.executable, "-c", CHILD, str(SRC), *argv],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 2, (argv, done.stderr)
         assert done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-        assert "over the memory budget of 268435456 bytes" in lines[0]
+        assert lines[0].endswith("over the memory budget of 268435456 bytes"), lines
+    assert lines[0] == (f"error: 3221225472 bytes of {sparse} at 2 bytes each need "
+                        "6442450944 bytes, over the memory budget of 268435456 bytes")
