@@ -69,7 +69,10 @@ def approximate(phi: FockCoefficients, n: int) -> FockCoefficients:
 
 
 def approximation_sequence(phi: FockCoefficients, levels: int) -> FunctionalSequence:
-    """The martingale sequence of truncation approximants at levels 0..levels."""
+    """The martingale sequence of truncation approximants at levels 0..levels.
+    levels is a domain index, refused (TruncatedDomain) before any approximant
+    is built."""
+    TruncatedDomain(levels)
     return FunctionalSequence([approximate(phi, n) for n in range(levels + 1)])
 
 

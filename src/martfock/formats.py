@@ -2,8 +2,9 @@
 
 Reading.  load_json admits the read first, by subsets.admit at READ_BYTES
 per byte of the file: a regular file from its size before it is read, a
-file with no size (a pipe, a device, a /proc file) once it has been read, a
-MiB at a time, until it ends or passes the bound (half the budget).  What
+file with no size (a pipe, a device, a /proc file) as it is read, a MiB at
+a time, by the count of its bytes so far, so that it is refused once that
+passes the bound (half the budget), before its chunks are joined.  What
 json.loads builds from a value that is not a document is not costed.
 json.loads is the only parser.  The json_* readers check what it
 returns strictly: wrong JSON types (a bool is not an int), malformed subsets
@@ -40,7 +41,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext, suppress
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -66,15 +67,20 @@ def load_json(path: str, sigma: bool):
     is a Table, decoded a block of rows at a time while json.loads runs.
     The read is admitted by subsets.admit at READ_BYTES per byte of the
     file: from its size before it is read, or, for a file with no size (a
-    pipe, a device, a /proc file), once it has been read up to the bound."""
+    pipe, a device, a /proc file), from the count of its bytes as each MiB
+    is read, so that refusing it holds no more than about the bound."""
     with open(path, "rb") as file:
         size = os.fstat(file.fileno()).st_size  # 0 for a file with no size
         subsets.admit(f"{size} bytes of {path}", size, READ_BYTES)
         if size:
             text = file.read()
-        else:  # a MiB at a time (read(n) would take n bytes at once), past the bound
-            chunks = iter(lambda: file.read(1 << 20), b"")
-            text = b"".join(islice(chunks, (subsets.MEMORY_BUDGET // READ_BYTES >> 20) + 1))
+        else:  # a MiB at a time (read(n) would take n bytes at once), counted as read
+            chunks, count = [], 0
+            for chunk in iter(lambda: file.read(1 << 20), b""):
+                count += len(chunk)  # refused once past the bound, before any join
+                subsets.admit(f"{count} bytes of {path}", count, READ_BYTES)
+                chunks.append(chunk)
+            text = b"".join(chunks)
     subsets.admit(f"{len(text)} bytes of {path}", len(text), READ_BYTES)
     text, pending, blocks = text.decode(), [], []  # the bytes are dropped once decoded
     key = "coefficients" if sigma else "values"  # where a document holds its table

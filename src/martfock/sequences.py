@@ -14,6 +14,11 @@ for the verdict, a grid of growth orders that is empty or holds an order
 that is not finite and >= 0 (functionals.growth_orders), and, for the
 limit, a domain wider than the sequence.  uniform_boundedness checks its
 grid the same way before it plans or reads a term.
+
+The three scans share one pass (_scan), which reads each term only at the
+union of the terms' supports; a mask off it is zero in every term, so the
+outputs are those of a pass over the whole domain, bit for bit.  The plans
+are sized for a dense sequence, where the union is the domain.
 """
 
 from __future__ import annotations
@@ -29,14 +34,15 @@ from . import formats
 from .functionals import (FockCoefficients, GrowthCertificate, dual_norm_bound,
                           fit_growth_values, growth_orders, nonnegative)
 from .rademacher import RandomFunctional, chaos_expand
-from .subsets import FiniteSubset, TruncatedDomain, weight_vector
+from .subsets import FiniteSubset, TruncatedDomain, mask_weights, weight_vector
 
 DEFAULT_TOL = 1e-9
 DEFAULT_P_GRID = (0.0, 1.0, 2.0)  # growth orders a certificate is fitted over
 # Bytes per domain mask each path plans: its tracemalloc peak at horizon 13,
-# rows read and growth fit included, rounded up to 8.  The terms are read two
-# rows at a time, so the peak is the same at 4 terms as at 32.
-PREDICATE_BYTES, LIMIT_BYTES, VERDICT_BYTES, UNIFORM_BYTES = 48, 64, 112, 64
+# rows read and growth fit included, rounded up to 8, on a dense sequence,
+# where the scans read every mask (_scan).  The terms are read two rows at a
+# time, so the peak is the same at 4 terms as at 32.
+PREDICATE_BYTES, LIMIT_BYTES, VERDICT_BYTES, UNIFORM_BYTES = 56, 72, 112, 64
 
 
 class InsufficientLengthError(ValueError):
@@ -80,9 +86,9 @@ class FunctionalSequence:
         return self.terms[n]
 
     def rows(self, domain: TruncatedDomain) -> Iterator[np.ndarray]:
-        """Each term's coefficients over the domain (values_on), one fresh
-        row at a time.  The library's verdict paths read a sequence here,
-        holding two rows, so their cost per mask does not grow with len."""
+        """Each term's coefficients over the whole domain (values_on), one
+        fresh row at a time.  The library's scans read a sequence at the
+        union of its terms' supports instead (_scan)."""
         return (phi.values_on(domain) for phi in self.terms)
 
     def to_json_dict(self) -> dict:
@@ -173,41 +179,82 @@ def is_generalized_martingale(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, Optional[tuple[int, FiniteSubset]]]:
     """Check F_n = indicator(., n) * F_{n+1} over the domain for every
-    consecutive pair, two rows at a time; returns the first violation
-    (n, sigma) on failure."""
+    consecutive pair, two rows at a time (_scan); returns the first
+    violation (n, sigma) on failure."""
     _check(seq, tol, 2, "two terms to test the relation")
     domain.plan(PREDICATE_BYTES)
-    witness = _truncation_witness(seq, domain, tol)
+    witness, _ = _truncation_witness(seq, domain, tol)
     return witness is None, witness
 
 
-def _truncation_witness(seq, domain, tol, limit=None) -> Optional[tuple[int, FiniteSubset]]:
-    """First (n, sigma) where term n differs by more than tol from term n+1
-    cut to the masks below 2^(n+1), or None; the terms are read two rows at
-    a time.  Given a limit vector, each mask of it takes the value of the
-    first term that covers it."""
-    for n, row in enumerate(seq.rows(domain)):
+def _scan(seq, domain) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, int]]]:
+    """The one pass of the sequence scans (the predicate, the verdict and
+    the limit): the masks they read, the union, and the terms read there in
+    order, one fresh complex128 row each, as (n, row, s), where union[:s]
+    are the masks below 2^n.
+
+    The union holds mask 0, the all-ones mask and every mask that a table
+    term stores inside the domain, ascending (int64), marked on one bool per
+    domain mask; it is the whole domain where a term is a rule or stores
+    every mask.  A mask off the union is zero in every term, so it adds
+    nothing to a scan: its sup is 0, it stabilizes at 0, it never grows and
+    it keeps the truncation relation.  With mask 0 and the all-ones mask in
+    it, a growth fit over the union takes the argmax and the largest weight
+    of one over the domain.  Over the whole domain a mask is its own
+    position; elsewhere a term's masks find theirs by searchsorted.  A rule
+    is read only in the pass, one term at a time."""
+    if any(phi.rule is not None or phi._entries_on(domain)[0].size == domain.size
+           for phi in seq.terms):
+        union = np.arange(domain.size)
+    else:
+        mark = np.zeros(domain.size, dtype=bool)
+        mark[[0, -1]] = True
+        for phi in seq.terms:
+            mark[phi._entries_on(domain)[0].view(np.int64)] = True  # below 2^63 once planned
+        union = np.flatnonzero(mark)  # the mark goes with this frame
+
+    def rows():
+        for n, phi in enumerate(seq.terms):
+            masks, values = phi._entries_on(domain)
+            masks = masks.view(np.int64)
+            row = np.zeros(union.size, dtype=np.complex128)
+            row[masks if union.size == domain.size else union.searchsorted(masks)] = values
+            yield n, row, int(union.searchsorted(min(1 << n, domain.size)))
+    return union, rows()
+
+
+def _truncation_witness(seq, domain, tol, limit=False):
+    """(witness, limit): the first (n, sigma) where term n differs by more
+    than tol from term n+1 cut to the masks below 2^(n+1), or None, read by
+    _scan; and, given limit and no witness, the table that takes at each
+    mask of the union the value of the first term that covers it."""
+    union, rows = _scan(seq, domain)
+    first = np.empty(union.size, dtype=np.complex128) if limit else None
+    for n, row, s in rows:
         if n:  # prev is spent once its tail is read: its head takes the difference
-            tail = np.flatnonzero(np.abs(prev[1 << n:]) > tol)
+            tail = np.flatnonzero(np.abs(prev[s:]) > tol)
             with np.errstate(over="ignore"):  # an infinite difference exceeds tol
-                head = np.flatnonzero(np.abs(np.subtract(
-                    row[:1 << n], prev[:1 << n], out=prev[:1 << n])) > tol)
+                head = np.flatnonzero(np.abs(np.subtract(row[:s], prev[:s], out=prev[:s])) > tol)
             if head.size or tail.size:
-                return n - 1, FiniteSubset(int(head[0] if head.size else (1 << n) + tail[0]))
-        if limit is not None:
+                at = union[head[0] if head.size else s + tail[0]]
+                return (n - 1, FiniteSubset(int(at))), None
+        if limit:
             # Masks in [2^n, 2^(n+1)) have max element n: term n first covers
             # them (term 0 also covers the empty set).
-            limit[n and 1 << n : 2 << n] = row[n and 1 << n : 2 << n]
+            cover = slice(n and s, union.searchsorted(min(2 << n, domain.size)))
+            first[cover] = row[cover]
         prev = row
-    return None
+    return None, (FockCoefficients._from_arrays(union.view(np.uint64), first, domain.max_index)
+                  if limit else None)
 
 
-def _finite_abs(n: int, row: np.ndarray) -> np.ndarray:
-    """|row| of term n.  A magnitude that is not a finite float raises
-    ValueError: np.abs of a complex overflows to inf without a flag."""
+def _finite_abs(n: int, row: np.ndarray, masks) -> np.ndarray:
+    """|row| of term n, read at the masks (ascending).  A magnitude that is
+    not a finite float raises ValueError naming its subset: np.abs of a
+    complex overflows to inf without a flag."""
     row_abs = np.abs(row)
     if not np.isfinite(row_abs.max()):
-        sigma = FiniteSubset(int(np.argmin(np.isfinite(row_abs))))
+        sigma = FiniteSubset(int(masks[np.argmin(np.isfinite(row_abs))]))
         raise ValueError(f"coefficient magnitude of term {n} at {sigma!r} "
                          "overflows the float range")
     return row_abs
@@ -241,13 +288,15 @@ def strong_convergence_test(
     every certificate fitted to the earlier terms.  Everything else is
     INCONCLUSIVE.
 
-    The terms are read once, in order, two rows at a time: the pass keeps
-    running columns (the sup of |F|, its copy at the generic tail start,
-    the stabilization index, the strictly-increasing tail mask, the
-    truncation check) and the last two rows.  A magnitude |F| that is not a
-    finite float raises ValueError.  The arguments are checked before the
-    plan and the read: fewer than three terms, then tol, then p_grid
-    (growth_orders).
+    The terms are read once, in order, at the union of their supports
+    (_scan), two rows at a time: the pass keeps running columns there (the
+    sup of |F|, its copy at the generic tail start, the stabilization index,
+    the strictly-increasing tail mask, the truncation check) and the last
+    two rows, and the columns are spread over the domain once, at the end,
+    with the weights of the union for the growth fits (mask_weights, the
+    bits of weight_vector's).  A magnitude |F| that is not a finite float
+    raises ValueError.  The arguments are checked before the plan and the
+    read: fewer than three terms, then tol, then p_grid (growth_orders).
     """
     _check(seq, tol, 3, "three terms for a verdict")
     p_grid = growth_orders(p_grid)
@@ -255,19 +304,21 @@ def strong_convergence_test(
     tail_start = k_last - max(2, len(seq) // 3)
     structural = domain.max_index <= k_last  # until a pair breaks the relation
     domain.plan(VERDICT_BYTES)
-    weights = weight_vector(domain)
-    sup_abs, moving = np.zeros(domain.size), np.empty(domain.size)
-    stab = np.zeros(domain.size, dtype=int)
-    grows = np.ones(domain.size, dtype=bool)  # strictly increasing from tail_start
-    for n, row in enumerate(seq.rows(domain)):
-        row_abs = _finite_abs(n, row)
+    union, rows = _scan(seq, domain)
+    dense = union.size == domain.size  # weight_vector then, without mask_weights' table
+    weights = weight_vector(domain) if dense else mask_weights(union, domain.max_index)
+    sup_abs, moving = np.zeros(union.size), np.empty(union.size)
+    stab = np.zeros(union.size, dtype=int)
+    grows = np.ones(union.size, dtype=bool)  # strictly increasing from tail_start
+    for n, row, s in rows:
+        row_abs = _finite_abs(n, row, union)
         np.maximum(sup_abs, row_abs, out=sup_abs)
         if n:
             with np.errstate(over="ignore"):  # an infinite step exceeds tol
                 np.abs(np.subtract(row, prev, out=prev), out=moving)
             stab[moving > tol] = n  # one past the last moving step
             structural = structural and not (  # the relation of terms n-1 and n
-                (moving[:1 << n] > tol).any() or (prev_abs[1 << n:] > tol).any())
+                (moving[:s] > tol).any() or (prev_abs[s:] > tol).any())
         if n > tail_start:
             grows &= (row_abs - prev_abs) > 0  # np.diff's sign, step by step
         elif n == tail_start:
@@ -299,16 +350,28 @@ def strong_convergence_test(
                 bound = c * np.float_power(weights, p)
             grows &= (row_abs - bound > 0) & (row_abs - bound > prev_abs - bound)
         if grows.any():
-            witness = (FiniteSubset(int(np.argmax(grows))),
+            witness = (FiniteSubset(int(union[np.argmax(grows)])),
                        "coefficient magnitudes grow past every fitted bound")
+    # The columns over the whole domain, once: 0 off the union, as every term.
+    stab, sup_abs = (_spread(column, union, domain) for column in (stab, sup_abs))
     if cert is None:
         status = ConvergenceStatus.INCONCLUSIVE if witness is None else ConvergenceStatus.DIVERGED
         limit, margin = None, np.full_like(sup_abs, np.nan)
     else:
-        limit = FockCoefficients.from_vector(row, domain.max_index)
-        status, margin = ConvergenceStatus.CONVERGED, cert.bound_at(weights) - sup_abs
+        limit = FockCoefficients._from_arrays(union.view(np.uint64), row, domain.max_index)
+        margin = cert.bound_at(weights if dense else weight_vector(domain)) - sup_abs
+        status = ConvergenceStatus.CONVERGED
     return ConvergenceVerdict(status, limit, cert, witness, tail_start,
                               SigmaDiagnostics(stab, sup_abs, margin))
+
+
+def _spread(column: np.ndarray, union: np.ndarray, domain: TruncatedDomain) -> np.ndarray:
+    """A column over the union (_scan) as one over the domain, 0 off it."""
+    if union.size == domain.size:
+        return column
+    out = np.zeros(domain.size, dtype=column.dtype)
+    out[union] = column
+    return out
 
 
 def martingale_limit(
@@ -332,11 +395,10 @@ def martingale_limit(
             f"sequence has {len(seq)}"
         )
     domain.plan(LIMIT_BYTES)
-    limit = np.empty(domain.size, dtype=np.complex128)
-    witness = _truncation_witness(seq, domain, tol, limit)
+    witness, limit = _truncation_witness(seq, domain, tol, limit=True)
     if witness is not None:
         raise NotAMartingaleError(witness)
-    return FockCoefficients.from_vector(limit, domain.max_index)
+    return limit
 
 
 @dataclass(frozen=True)
@@ -361,7 +423,8 @@ def uniform_boundedness(
     domain.plan(UNIFORM_BYTES)
     sup_abs, n = np.zeros(domain.size), -1
     for n, phi in enumerate(functionals):
-        np.maximum(sup_abs, _finite_abs(n, phi.values_on(domain)), out=sup_abs)
+        np.maximum(sup_abs, _finite_abs(n, phi.values_on(domain), range(domain.size)),
+                   out=sup_abs)
     if n < 0:
         raise ValueError("the family must be nonempty")
     _, cert = fit_growth_values(sup_abs, weight_vector(domain), p_grid, domain)

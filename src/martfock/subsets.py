@@ -160,10 +160,9 @@ def log_weight(sigma: FiniteSubset) -> float:
 
 
 def indicator(sigma: FiniteSubset, n: int) -> int:
-    """1 if sigma is a subset of {0,..,n} (empty set included), else 0."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return 1 if sigma.mask < (1 << (n + 1)) else 0
+    """1 if sigma is a subset of {0,..,n} (empty set included), else 0.  The
+    level n is a domain index: TruncatedDomain refuses any other."""
+    return 1 if sigma in TruncatedDomain(n) else 0
 
 
 def weight_vector(domain: TruncatedDomain) -> np.ndarray:

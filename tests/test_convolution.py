@@ -301,8 +301,8 @@ class TestApproximationResidual:
 
 
 # Every public argument that is a truncation level.  A level is a domain
-# index, 0..63: any other is refused (as TruncatedDomain refuses it, or, for
-# an empty sequence, as FunctionalSequence does) before any plan or read.
+# index, 0..63: any other is refused as TruncatedDomain refuses it, before
+# any plan or read, and approximation_sequence before any approximant.
 LEVELS = {
     "approximate": lambda phi, n: approximate(phi, n),
     "indicator_functional": lambda phi, n: indicator_functional(n),
@@ -314,20 +314,23 @@ LEVELS = {
 
 
 @pytest.mark.parametrize("level", [-3, -2, -1, 64])
-def test_every_level_outside_the_index_range_is_refused_before_the_plan(level, no_plan):
+def test_every_level_outside_the_index_range_is_refused_before_the_plan(level, no_plan,
+                                                                       monkeypatch):
     public = {name for name, f in vars(convolution).items()
               if inspect.isfunction(f) and f.__module__ == convolution.__name__
               and not name.startswith("_")
               and {"n", "level", "levels"} & set(inspect.signature(f).parameters)}
     assert public == set(LEVELS)
+
+    def unbuilt(phi, n):
+        raise AssertionError(f"the approximant at level {n} was built")
+
+    monkeypatch.setattr(convolution, "approximate", unbuilt)  # approximation_sequence's
     # a table ({}: 1 and {0, 2}: 2), whose residuals read it without a plan,
     # and a rule, whose read plans
     for phi in (from_masks({0: 1.0, 0b101: 2.0}), all_ones()):
-        for name, call in LEVELS.items():
-            message = ("a functional sequence must have at least one term"
-                       if name == "approximation_sequence" and level < 0
-                       else rf"max_index must lie in 0\.\.63, got {level}")
-            with pytest.raises(ValueError, match=f"^{message}$"):
+        for call in LEVELS.values():
+            with pytest.raises(ValueError, match=rf"^max_index must lie in 0\.\.63, got {level}$"):
                 call(phi, level)
 
 

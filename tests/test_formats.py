@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -440,3 +441,19 @@ def test_a_file_with_no_size_is_read_up_to_the_bound(tmp_path, monkeypatch):
         assert outcome == (1 if budget == 2 * len(text) else
                            f"{len(text)} bytes of {pipe} at 2 bytes each need {2 * len(text)} "
                            f"bytes, over the memory budget of {budget} bytes")
+def test_refusing_a_file_with_no_size_holds_about_half_the_budget(monkeypatch):
+    # /dev/zero never ends: its bytes are counted as each MiB is read and it
+    # is refused once the count passes half the budget, before any join of
+    # the chunks, which would hold them twice (about the whole budget).
+    budget = 64 << 20
+    monkeypatch.setattr(subsets, "MEMORY_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooLargeError, match="over the memory budget of 67108864 bytes$"):
+            formats.load_json("/dev/zero", sigma=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget // 2 < peak < budget // 2 + (4 << 20), peak / budget
+
+

@@ -292,6 +292,19 @@ def test_streamed_peak_does_not_grow_with_the_terms(name):
     assert max(short, long) <= planned, (short, long, planned)
 
 
+@pytest.mark.parametrize("call,planned", [
+    (is_generalized_martingale, sequences.PREDICATE_BYTES),
+    (martingale_limit, sequences.LIMIT_BYTES),
+    (strong_convergence_test, sequences.VERDICT_BYTES),
+])
+def test_a_dense_scan_peaks_within_its_plan(call, planned):
+    # The scans read the union of the terms' supports; on a dense sequence
+    # it is the whole domain, the case the plans are sized for.
+    seq = classical_to_sequence(RandomFunctional(SampleSpace(HORIZON), sample_values()))
+    per_mask = traced_peak(call, seq, DOMAIN) / DOMAIN.size
+    assert per_mask <= planned, (per_mask, planned)
+
+
 def test_martingale_limit_refuses_a_short_sequence_before_the_plan():
     # 3 terms over a horizon-20 domain: the lengths alone decide the
     # refusal, so neither the 128 MiB plan nor a row is made.

@@ -902,6 +902,41 @@ def streamed_sequences(draw):
     return explicit_sequence(rows, max_index), TruncatedDomain(max_index), tol
 
 
+@st.composite
+def sparse_sequences(draw):
+    """(sequence, domain, tol): 3 to 8 terms over max_index 3..9 whose
+    tables store a few masks, some past the domain, so that the scans read
+    the union of the supports, not the domain; truncation martingales, some
+    with one term changed, and columns that stay, grow or jump.  Some terms
+    are rules that agree with their table, so the scans read every mask."""
+    max_index, length = draw(st.integers(3, 9)), draw(st.integers(3, 8))
+    support = draw(st.lists(st.integers(0, (4 << max_index) - 1), min_size=1, max_size=6,
+                            unique=True))
+    entries = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 16.0, 1e308, -1e308])
+    shape = draw(st.sampled_from(["martingale", "broken", "columns"]))
+    if shape == "columns":
+        columns = {}
+        for m in support:
+            if draw(st.booleans()):  # grows
+                steps = draw(st.lists(st.sampled_from([1.0, 2.0, 8.0]),
+                                      min_size=length, max_size=length))
+                columns[m] = list(np.cumsum(steps) * draw(st.sampled_from([1.0, -1.0, 1j])))
+            else:
+                columns[m] = draw(st.lists(entries, min_size=length, max_size=length))
+        rows = [{m: complex(column[n]) for m, column in columns.items()} for n in range(length)]
+    else:
+        base = {m: draw(entries) for m in support}
+        rows = [cut(base, n) for n in range(length)]
+        if shape == "broken":
+            rows[draw(st.integers(0, length - 1))][draw(st.sampled_from(support))] = 0.25
+    rules = draw(st.sets(st.integers(0, length - 1), max_size=2) | st.just(set()))
+    terms = [FockCoefficients.from_rule(lambda s, row=row: row.get(s.mask, 0.0)) if n in rules
+             else FockCoefficients({FiniteSubset(m): v for m, v in row.items()})
+             for n, row in enumerate(rows)]
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    return FunctionalSequence(terms), TruncatedDomain(max_index), tol
+
+
 class TestStreamedMatchesMatrix:
     @pytest.mark.parametrize("name", STREAMED_CASES)
     def test_edge_cases(self, name):
@@ -926,6 +961,11 @@ class TestStreamedMatchesMatrix:
     @example((explicit_sequence([{0: 1.0, 1: 2.0}] * 3, 0), TruncatedDomain(0), 0.0))
     @given(streamed_sequences())
     def test_generated_sequences(self, drawn):
+        assert_streamed_matches_matrix(*drawn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_sequences())
+    def test_sparse_supports(self, drawn):
         assert_streamed_matches_matrix(*drawn)
 
     def test_overflowing_magnitude_is_refused(self):

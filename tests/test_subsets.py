@@ -112,8 +112,11 @@ class TestIndicator:
         assert indicator(s, n) * indicator(s, n + 1) == indicator(s, n)
 
     def test_level_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="n must be nonnegative"):
-            indicator(FiniteSubset(0), -1)
+        # a level is a domain index, 0..63, refused as TruncatedDomain refuses it
+        for n in (-1, 64):
+            with pytest.raises(ValueError, match=f"^max_index must lie in 0..63, got {n}$"):
+                indicator(FiniteSubset(0), n)
+        assert indicator(FiniteSubset(1 << 63), 63) == 1
 
 
 class TestTruncatedDomain:
@@ -208,6 +211,25 @@ class TestMaskWeights:
                 got = mask_weights(masks, n)
                 assert got.dtype == np.float64 and got.shape == masks.shape
                 assert np.array_equal(got.view(np.int64), w[masks].view(np.int64))
+
+    @pytest.mark.parametrize("n", [13, 17, 19])
+    def test_powers_bitwise_equal_to_indexed_weight_powers(self, n):
+        # The sequence scans fit growth bounds over the weights of the masks
+        # they read, not of the whole domain: each power (an array **, which
+        # may take a SIMD pow, and float_power, libm's) of a weight must not
+        # depend on the weight's position in the array.
+        rng = np.random.default_rng(7)
+        d = TruncatedDomain(n)
+        w = weight_vector(d)
+        sizes = [1, 2, 7, 8, 9, 17, *rng.integers(3, 5000, size=6), d.size]
+        masks = [np.sort(rng.choice(d.size, size=size, replace=False)) for size in sizes]
+        weights = [mask_weights(m, n) for m in masks]
+        for p in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0):
+            for power in (np.power, np.float_power):
+                every = power(w, p)
+                for m, got in zip(masks, weights):
+                    assert np.array_equal(power(got, p).view(np.int64),
+                                          every[m].view(np.int64)), (m.size, p, power)
 
     def test_one_read_only_low_table(self):
         low = subsets._low_weights()

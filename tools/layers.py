@@ -9,13 +9,18 @@ martingale predicate, the limit, uniform boundedness of its terms, the
 convergence verdict and the verdict refusing an empty growth-order grid,
 which reads about 0 ms since the grid is checked before any plan or read),
 fit_growth over the default orders 0, 1, 2 on that sequence's last term,
-the product measure at minus_prob 0.3 (biased_probabilities) and the Walsh
+the sparse scans, which read each term only at the union of the terms'
+supports (the verdict on sequence B of the converge-verdicts workload, 24
+terms storing 512 of its 8,192 masks, and the predicate and the limit on
+the horizon-18 truncations of the approx-sparse-wide table, 4,096 of 2^19
+masks), the product measure at minus_prob 0.3 (biased_probabilities) and the Walsh
 function of the 5-element subset {0, 4, 9, 13, 18} at horizon 18, plus
 sobolev_norm at order 1, the residual curve at order 1 over levels 0..12
 (residual_curve, the path of `martfock approx --csv`) and
 approximation_residual at each level 0..12 on the coefficient tables of
 the approx-dense and approx-sparse-wide workloads
-(seed 1, built by `bench/workloads.py`, imported and not changed), and
+(seed 1, built by `bench/workloads.py`, imported and not changed; the
+converge-verdicts workload writes its files to a temporary directory), and
 subsets._pairwise_sum alone over the approx-sparse-wide table's order-1
 residual terms from masks 2 and 2^13 on, which separates the sum from the
 weights.  Each call is timed with time.perf_counter; the import is timed by
@@ -34,6 +39,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -133,7 +139,17 @@ def main() -> int:
             lambda: mf.residual_curve(phi, 12, 1.0, domain))
         out[f"approximation_residual_{name}"] = [
             timed_ms(lambda: mf.approximation_residual(phi, n, 1.0, domain)) for n in range(13)]
+    with tempfile.TemporaryDirectory() as work:
+        verdicts = workloads.WORKLOADS["converge-verdicts"](SEED, Path(work))
+    out["strong_convergence_test_converge-verdicts_B_h12_ms"] = timed_ms(
+        lambda: mf.strong_convergence_test(verdicts.seq_b, verdicts.domain_b))
     phi, domain = workload_table(mf, workloads, "approx-sparse-wide")
+    sparse = mf.FunctionalSequence([phi.restricted(mf.TruncatedDomain(n))
+                                    for n in range(domain.max_index + 1)])
+    out["is_generalized_martingale_sparse_truncations_h18_ms"] = timed_ms(
+        lambda: mf.is_generalized_martingale(sparse, domain))
+    out["martingale_limit_sparse_truncations_h18_ms"] = timed_ms(
+        lambda: mf.martingale_limit(sparse, domain))
     masks, values = phi._entries_on(domain)
     masks = masks.view(np.int64)  # as weighted_sums passes them
     terms = mf.subsets.mask_weights(masks, domain.max_index) ** -2.0 * np.abs(values) ** 2
